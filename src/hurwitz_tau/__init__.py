@@ -7,7 +7,7 @@ package verifies is an exact rational identity, and every check either
 matches exactly or fails loudly.
 """
 
-from .algebra import BetaSeries, Rational, format_rational, parse_rational
+from .algebra import BetaSeries, format_rational, parse_rational
 from .characters import (
     CharacterTable,
     character,
@@ -42,7 +42,6 @@ from .partitions import (
     z_of,
 )
 from .tau_series import (
-    ContentProduct,
     TauTable,
     extract_H,
     r_lambda,
@@ -54,14 +53,12 @@ from .tau_series import (
 )
 from .weights import (
     WeightGen,
-    WeightedCount,
     eval_weight_gen,
     g_coeffs,
     quantum_weight_factor,
     rational_weight_factor,
     weight_factor,
     weight_factor_tilde,
-    weighted_count,
     weighted_hurwitz,
     weighted_hurwitz_terms,
 )

@@ -8,18 +8,34 @@ No floating point appears anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import SingularSeriesError, UsageError
 
-Rational = Fraction
+
+def _digits(n: int) -> str:
+    """Decimal digits of ``n``, past the interpreter's int-to-str limit too.
+
+    Exact results may be longer than that limit allows; it is lifted only
+    while one is rendered, so parsing input keeps it.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def format_rational(x: Fraction) -> str:
     """Render ``x`` as ``"p/q"``, or just ``"p"`` when the denominator is 1."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -190,18 +206,3 @@ class BetaSeries:
     def __repr__(self):
         inner = ", ".join(format_rational(c) for c in self.coeffs)
         return f"BetaSeries([{inner}])"
-
-
-def series_mul(a: BetaSeries, b: BetaSeries) -> BetaSeries:
-    """Cauchy product truncated at the shared order."""
-    return a * b
-
-
-def series_inv(a: BetaSeries) -> BetaSeries:
-    """Inverse series: ``a * series_inv(a) == 1`` up to the truncation order."""
-    return a.inv()
-
-
-def series_eval(a: BetaSeries, value) -> Fraction:
-    """Sum of ``coeffs[j] * value**j``; the caller owns truncation semantics."""
-    return a.eval(value)

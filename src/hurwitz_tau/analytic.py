@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from .errors import (
@@ -25,8 +24,7 @@ from .errors import (
     SingularParameterError,
     UsageError,
 )
-from .partitions import contents, enumerate_partitions, hook_product, z_of
-from .characters import _character, _perm_sign
+from .partitions import contents, enumerate_partitions, hook_product
 from .tau_series import rho
 from .weights import WeightGen, eval_weight_gen
 
@@ -316,7 +314,7 @@ def exact_det(matrix) -> Fraction:
 def det_rep_calibration(n: int) -> int:
     """Beta exponent correcting the literal determinant prefactor, -1 per row.
 
-    Determined once by exact polynomial comparison against the direct
+    Determined once by exact Schur-coefficient comparison against the direct
     series (see calibrate_det_exponent): the literal ratio-of-determinants
     formula carries one surplus factor of beta per basis index, so the
     corrected prefactor divides by beta * rho_{-i} for i = 1..n.
@@ -397,65 +395,30 @@ def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRep
     return DetRepValue(value, e)
 
 
-# -- exact multivariate polynomial comparison ------------------------------
+# -- Schur-basis comparison ------------------------------------------------
 #
-# For the dual-path acceptance check the evaluation points are kept formal:
-# both routes produce polynomials in x_1..x_n with rational coefficients,
-# compared coefficient by coefficient through the truncation-guaranteed
-# total degree.
+# For the dual-path acceptance check the evaluation points are kept formal.
+# By Cauchy-Binet, det[x_j^(n-1) phi_i(x_j)] / Vandermonde(x) has one n x n
+# minor of the phi coefficient array as its coefficient on each Schur
+# function s_lambda; the direct series has r_lambda(beta) / h_lambda there.
+# Both routes return {lambda: coefficient} over partitions with at most n
+# parts, so they compare coefficient by coefficient.
 
-def _poly_iadd(acc: dict, term: dict):
-    for key, val in term.items():
-        nv = acc.get(key, Fraction(0)) + val
-        if nv:
-            acc[key] = nv
-        else:
-            acc.pop(key, None)
-
-
-def _poly_mul_var(poly: dict, powers: dict[int, Fraction], var: int) -> dict:
-    """Multiply by a univariate Laurent polynomial in variable ``var``."""
-    out: dict = {}
-    for key, val in poly.items():
-        for p, c in powers.items():
-            nk = key[:var] + (key[var] + p,) + key[var + 1:]
-            nv = out.get(nk, Fraction(0)) + val * c
-            if nv:
-                out[nk] = nv
-            else:
-                out.pop(nk, None)
-    return out
+def _schur_shapes(n: int, max_deg: int):
+    """Partitions with at most n parts and weight <= max_deg."""
+    for w in range(max_deg + 1):
+        for lam in enumerate_partitions(w):
+            if len(lam) <= n:
+                yield lam
 
 
-def _divide_diff(poly: dict, a: int, b: int) -> dict:
-    """Exact division by (x_a - x_b); the input must be divisible."""
-    q: dict = {}
-    r = dict(poly)
-    while r:
-        key = max(r, key=lambda t: t[a])
-        s = key[a]
-        if s == 0:
-            raise ArithmeticError("polynomial is not divisible by the difference")
-        c = r.pop(key)
-        qk = key[:a] + (s - 1,) + key[a + 1:]
-        q[qk] = q.get(qk, Fraction(0)) + c
-        rk = qk[:b] + (qk[b] + 1,) + qk[b + 1:]
-        nv = r.get(rk, Fraction(0)) + c
-        if nv:
-            r[rk] = nv
-        else:
-            r.pop(rk, None)
-    return {k: v for k, v in q.items() if v}
+def _literal_minors(G: WeightGen, beta, n: int, J: int,
+                    M: int | None = None) -> dict:
+    """Schur coefficients of the literal (beta^0) determinant formula.
 
-
-def tau_det_polynomial(G: WeightGen, beta, n: int, J: int,
-                       M: int | None = None,
-                       calibration: int | None = None) -> dict:
-    """Determinant route with formal evaluation points.
-
-    Returns {exponent tuple: coefficient}; coefficients of total degree
-    <= 1 - n + J are exact.  ``calibration`` overrides the applied beta
-    exponent (0 gives the literal formula).
+    The coefficient of s_lambda is det[c_i(lambda_j + n - 1 - j)] over the
+    rho_{-i} prefactor, c_i(m) being the x^m coefficient of x^(n-1) phi_i;
+    every |lambda| <= 1 - n + J is exact.
     """
     beta = Fraction(beta)
     if n < 1:
@@ -463,59 +426,53 @@ def tau_det_polynomial(G: WeightGen, beta, n: int, J: int,
     if J < n:
         raise UsageError(f"series order {J} too small for n = {n}", code="bad-order")
     phis = [phi_k(G, beta, i, J - n + i, M) for i in range(1, n + 1)]
-    powers = [
-        {p.lead_exp + j: c for j, c in enumerate(p.coeffs) if c} for p in phis
-    ]
-    det: dict = {}
-    for perm in permutations(range(n)):
-        term = {(0,) * n: Fraction(_perm_sign(perm))}
-        for i in range(n):
-            term = _poly_mul_var(term, powers[i], perm[i])
-        _poly_iadd(det, term)
-    det = {tuple(e + n - 1 for e in key): v for key, v in det.items()}
-    for a in range(n):
-        for b in range(a + 1, n):
-            det = _divide_diff(det, a, b)
-    pref = beta ** (det_rep_calibration(n) if calibration is None else calibration)
+    pref = Fraction(1)
     for i in range(1, n + 1):
         pref /= rho(G, -i, beta, M)
-    return {k: v * pref for k, v in det.items() if v}
+    out = {}
+    for lam in _schur_shapes(n, 1 - n + J):
+        parts = lam + (0,) * (n - len(lam))
+        # c_i(m) is the coefficient of x^(m - n + 1) in phi_i
+        minor = exact_det([[p.power_coeff(parts[j] - j) for j in range(n)]
+                           for p in phis])
+        if minor:
+            out[lam] = pref * minor
+    return out
+
+
+def tau_det_polynomial(G: WeightGen, beta, n: int, J: int,
+                       M: int | None = None) -> dict:
+    """Determinant route with formal evaluation points, in the Schur basis.
+
+    Returns {lambda: coefficient of s_lambda} for |lambda| <= 1 - n + J,
+    exact, with the calibrated beta exponent applied.
+    """
+    minors = _literal_minors(G, beta, n, J, M)
+    scale = Fraction(beta) ** det_rep_calibration(n)
+    return {lam: scale * v for lam, v in minors.items()}
 
 
 def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
-    """Schur-sum route with formal evaluation points, degrees <= max_deg."""
+    """Direct series in the Schur basis: r_lambda(beta) / h_lambda.
+
+    Covers partitions with at most n parts and |lambda| <= max_deg.
+    """
     beta = Fraction(beta)
-    out: dict = {(0,) * n: Fraction(1)}
-    for w in range(1, max_deg + 1):
-        for lam in enumerate_partitions(w):
-            r = Fraction(1)
-            for c in contents(lam):
-                r *= eval_weight_gen(G, c * beta)
-            if r == 0:
-                continue
-            coeff = r / hook_product(lam)
-            for mu in enumerate_partitions(w):
-                term = {(0,) * n: coeff * Fraction(_character(lam, mu), z_of(mu))}
-                for part in mu:
-                    psum = {
-                        (0,) * i + (part,) + (0,) * (n - i - 1): Fraction(1)
-                        for i in range(n)
-                    }
-                    nxt: dict = {}
-                    for key, val in term.items():
-                        for pk, pv in psum.items():
-                            nk = tuple(a + b for a, b in zip(key, pk))
-                            nxt[nk] = nxt.get(nk, Fraction(0)) + val * pv
-                    term = nxt
-                _poly_iadd(out, term)
-    return {k: v for k, v in out.items() if v}
+    out = {}
+    for lam in _schur_shapes(n, max_deg):
+        r = Fraction(1)
+        for c in contents(lam):
+            r *= eval_weight_gen(G, c * beta)
+        if r:
+            out[lam] = r / hook_product(lam)
+    return out
 
 
 def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int,
                            compare_deg: int, M: int | None = None) -> int:
     """Beta exponent making the literal determinant formula match the series.
 
-    Compares the two polynomial routes on every coefficient of total degree
+    Compares the two Schur-basis routes on every coefficient of degree
     <= compare_deg and returns the unique exponent; raises if no pure power
     of beta reconciles them.
     """
@@ -530,9 +487,9 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int,
             f"comparison degree {compare_deg} exceeds the guaranteed degree {1 - n + J}",
             code="bad-order",
         )
-    literal = tau_det_polynomial(G, beta, n, J, M, calibration=0)
+    literal = _literal_minors(G, beta, n, J, M)
     direct = tau_direct_polynomial(G, beta, n, compare_deg)
-    const = (0,) * n
+    const = ()
     base = literal.get(const)
     if not base:
         raise SingularParameterError(

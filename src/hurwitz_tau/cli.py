@@ -217,17 +217,20 @@ def _cmd_phi(args) -> int:
 class _Suite:
     def __init__(self):
         self.failures = 0
+        # printed once every selected suite has run, so a usage or parameter
+        # error met by a later suite leaves no partial report on stdout
+        self.lines: list[str] = []
 
     def check(self, name: str, ok: bool, detail: str = ""):
         tag = "PASS" if ok else "FAIL"
         if not ok:
             self.failures += 1
         suffix = f": {detail}" if detail else ""
-        print(f"{tag} {name}{suffix}")
+        self.lines.append(f"{tag} {name}{suffix}")
 
     def skip(self, name: str, reason: str):
         # a check that cannot run at these parameters is reported, not failed
-        print(f"SKIP {name}: {reason}")
+        self.lines.append(f"SKIP {name}: {reason}")
 
 
 def _suite_hurwitz(s: _Suite, nmax: int):
@@ -375,12 +378,20 @@ def _cmd_verify(args) -> int:
         _suite_tau(s, G, args.nmax, min(args.order, 3))
     if args.suite in ("analytic", "all"):
         _suite_analytic(s, G, beta, args.kmax, args.order, args.m)
-    print(f"{'FAILURES: ' + str(s.failures) if s.failures else 'ALL CHECKS PASSED'}")
+    s.lines.append(f"FAILURES: {s.failures}" if s.failures else "ALL CHECKS PASSED")
+    print("\n".join(s.lines))
     return 1 if s.failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise UsageError, so they leave as JSON like the rest."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}", code="bad-argument")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hurwitz-tau",
         description="Exact weighted Hurwitz numbers and their generating series",
     )
@@ -446,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except HurwitzTauError as exc:
         print(_emit_json({"error": exc.code, "message": str(exc)}), file=sys.stderr)

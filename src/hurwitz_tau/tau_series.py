@@ -28,14 +28,6 @@ from .partitions import (
 from .weights import WeightGen, eval_weight_gen, g_coeffs
 
 
-@dataclass(frozen=True)
-class ContentProduct:
-    """Value of the content product prod_{cells} G(content * beta), truncated."""
-
-    lam: Partition
-    series: BetaSeries
-
-
 @cache
 def _content_series(G: WeightGen, content: int, D: int) -> BetaSeries:
     # built from Taylor coefficients, never by evaluating G at a number,
@@ -44,13 +36,12 @@ def _content_series(G: WeightGen, content: int, D: int) -> BetaSeries:
     return BetaSeries([gs[m] * content ** m for m in range(D + 1)])
 
 
-def r_lambda(G: WeightGen, lam, D: int) -> ContentProduct:
-    """Content product for the diagram ``lam`` as a beta-series of order D."""
-    lam = as_partition(lam)
+def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
+    """Content product prod_{cells} G(content * beta) as a beta-series of order D."""
     series = BetaSeries.one(D)
-    for c in contents(lam):
+    for c in contents(as_partition(lam)):
         series = series * _content_series(G, c, D)
-    return ContentProduct(lam, series)
+    return series
 
 
 @cache
@@ -124,7 +115,7 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     coeffs: dict = {}
     for n in range(Nmax + 1):
         parts = enumerate_partitions(n)
-        r = {lam: r_lambda(G, lam, D).series for lam in parts}
+        r = {lam: r_lambda(G, lam, D) for lam in parts}
         chi = {(lam, mu): _character(lam, mu) for lam in parts for mu in parts}
         z = {mu: z_of(mu) for mu in parts}
         for mu in parts:
@@ -174,7 +165,7 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
         parts = enumerate_partitions(n)
-        r = {lam: r_lambda(G, lam, D).series for lam in parts}
+        r = {lam: r_lambda(G, lam, D) for lam in parts}
         h = {lam: hook_product(lam) for lam in parts}
         for mu in parts:
             zm = z_of(mu)

@@ -359,19 +359,3 @@ def weighted_hurwitz(G: WeightGen, d: int, mu, nu) -> Fraction:
     for the quantum family only nu = (1^N) is defined.
     """
     return sum((t.value for t in weighted_hurwitz_terms(G, d, mu, nu)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class WeightedCount:
-    """A weighted double Hurwitz number together with its inputs."""
-
-    d: int
-    mu: Partition
-    nu: Partition
-    value: Fraction
-
-
-def weighted_count(G: WeightGen, d: int, mu, nu) -> WeightedCount:
-    mu = as_partition(mu)
-    nu = as_partition(nu)
-    return WeightedCount(d, mu, nu, weighted_hurwitz(G, d, mu, nu))

@@ -7,9 +7,6 @@ from hurwitz_tau.algebra import (
     BetaSeries,
     format_rational,
     parse_rational,
-    series_eval,
-    series_inv,
-    series_mul,
 )
 from hurwitz_tau.errors import SingularSeriesError, UsageError
 
@@ -18,33 +15,33 @@ def test_series_mul_examples():
     D = 2
     one_plus = BetaSeries([1, 1], order=D)
     one_minus = BetaSeries([1, -1], order=D)
-    assert series_mul(one_plus, one_minus) == BetaSeries([1, 0, -1])
+    assert one_plus * one_minus == BetaSeries([1, 0, -1])
     a = BetaSeries([1, 1, 1])
-    assert series_mul(a, BetaSeries.one(2)) == a
+    assert a * BetaSeries.one(2) == a
     # hand Cauchy product: (1+b+b^2)(1+b) = 1 + 2b + 2b^2 + O(b^3)
-    assert series_mul(a, BetaSeries([1, 1], order=2)) == BetaSeries([1, 2, 2])
+    assert a * BetaSeries([1, 1], order=2) == BetaSeries([1, 2, 2])
 
 
 def test_series_mul_order_mismatch():
     with pytest.raises(UsageError):
-        series_mul(BetaSeries([1], order=2), BetaSeries([1], order=3))
+        BetaSeries([1], order=2) * BetaSeries([1], order=3)
 
 
 def test_series_inv_examples():
-    assert series_inv(BetaSeries([1, -1], order=3)) == BetaSeries([1, 1, 1, 1])
-    assert series_inv(BetaSeries.one(4)) == BetaSeries.one(4)
-    assert series_inv(BetaSeries([1, 2], order=2)) == BetaSeries([1, -2, 4])
+    assert BetaSeries([1, -1], order=3).inv() == BetaSeries([1, 1, 1, 1])
+    assert BetaSeries.one(4).inv() == BetaSeries.one(4)
+    assert BetaSeries([1, 2], order=2).inv() == BetaSeries([1, -2, 4])
 
 
 def test_series_inv_singular():
     with pytest.raises(SingularSeriesError):
-        series_inv(BetaSeries([0, 1], order=3))
+        BetaSeries([0, 1], order=3).inv()
 
 
 def test_series_eval_examples():
-    assert series_eval(BetaSeries([1, 1]), F(1, 2)) == F(3, 2)
-    assert series_eval(BetaSeries([7, 3, 5]), 0) == 7
-    assert series_eval(BetaSeries([1, 1, 1]), F(1, 3)) == F(13, 9)
+    assert BetaSeries([1, 1]).eval(F(1, 2)) == F(3, 2)
+    assert BetaSeries([7, 3, 5]).eval(0) == 7
+    assert BetaSeries([1, 1, 1]).eval(F(1, 3)) == F(13, 9)
 
 
 def _random_fraction(rng):
@@ -70,7 +67,7 @@ def test_series_inverse_property():
         if coeffs[0] == 0:
             coeffs[0] = F(1)
         a = BetaSeries(coeffs)
-        assert series_mul(a, series_inv(a)) == BetaSeries.one(D)
+        assert a * a.inv() == BetaSeries.one(D)
 
 
 def test_truncation_consistency():
@@ -80,8 +77,8 @@ def test_truncation_consistency():
         Dp = rng.randint(0, D - 1)
         a = BetaSeries([_random_fraction(rng) for _ in range(D + 1)])
         b = BetaSeries([_random_fraction(rng) for _ in range(D + 1)])
-        full = series_mul(a, b).truncate(Dp)
-        short = series_mul(a.truncate(Dp), b.truncate(Dp))
+        full = (a * b).truncate(Dp)
+        short = a.truncate(Dp) * b.truncate(Dp)
         assert full == short
 
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hurwitz_tau import analytic
 from hurwitz_tau.analytic import (
     calibrate_det_exponent,
     check_recursion,
@@ -175,17 +176,37 @@ def test_calibration_exponent(n):
         assert e == det_rep_calibration(n) == -n
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_polynomial_matches_direct_series(n):
     J = 12
     deg = min(6, 1 - n + J)
-    for G in (G1, GR):
+    for G in (GT, G1, GR):
         det_poly = tau_det_polynomial(G, F(1, 7), n, J)
         direct = tau_direct_polynomial(G, F(1, 7), n, deg)
         keys = {k for k in det_poly if sum(k) <= deg}
         keys |= {k for k in direct if sum(k) <= deg}
         for key in keys:
             assert det_poly.get(key, F(0)) == direct.get(key, F(0)), key
+
+
+def test_calibration_negative_control(monkeypatch):
+    # phi_1's x^2 coefficient off by 2^-50: at n = 2 it enters the Schur
+    # coefficients of (2), (2,1), (2,2) but not the constant term, so the
+    # exponent is still found and the degree <= 6 comparison must fail
+    real = analytic.phi_k
+
+    def perturbed(G, beta, k, J, M=None):
+        p = real(G, beta, k, J, M)
+        return p.with_coeff(2, p.coeff(2) + F(1, 2 ** 50)) if k == 1 else p
+
+    monkeypatch.setattr(analytic, "phi_k", perturbed)
+    det_poly = tau_det_polynomial(GR, F(1, 7), 2, 12)
+    direct = tau_direct_polynomial(GR, F(1, 7), 2, 6)
+    assert det_poly[()] == direct[()]
+    assert det_poly[(2,)] != direct[(2,)]
+    with pytest.raises(SingularParameterError) as err:
+        calibrate_det_exponent(GR, F(1, 7), 2, 12, compare_deg=6)
+    assert err.value.code == "calibration-failed"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

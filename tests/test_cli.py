@@ -178,6 +178,45 @@ def test_phi_quantum_needs_truncation(capsys):
     assert json.loads(err)["error"] == "quantum-needs-truncation"
 
 
+def test_parser_errors_are_structured(capsys):
+    # "-1/3" after a space reads as a flag, so --d has no value
+    code = run(["verify", "--suite", "analytic", "--gen", "rational",
+                "--c", "1", "--d", "-1/3", "--beta", "1/3"])
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "bad-argument"
+    assert "--d" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--gen", "quantum", "--q", "1/2"], "quantum-needs-truncation"),
+    (["--beta", "0"], "bad-beta"),
+    (["--order", "-1"], "bad-order"),
+], ids=["quantum-without-m", "zero-beta", "negative-order"])
+def test_verify_error_leaves_no_partial_report(capsys, argv, error):
+    # the hurwitz, weights and tau suites pass before the analytic one stops
+    code = run(["verify", "--suite", "all"] + argv)
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_phi_quantum_prints_long_exact_coefficients(capsys):
+    # numerators past Python's default 4300-digit int-to-str limit
+    code = run(["phi", "--gen", "quantum", "--q", "1/2", "--beta", "1/23",
+                "--k", "1", "--order", "20", "--m", "40"])
+    out, err = capture(capsys)
+    assert code == 0
+    assert err == ""
+    data = json.loads(out)
+    assert data["lead_exp"] == 0
+    assert len(data["coeffs"]) == 21
+    assert max(len(c) for c in data["coeffs"]) > 4300
+
+
 def test_weighted_quantum_rejects_nonidentity_nu(capsys):
     code = run(["weighted", "--gen", "quantum", "--q", "1/2",
                 "--deg", "1", "--mu", "[2]", "--nu", "[2]"])

@@ -16,7 +16,6 @@ from hurwitz_tau.weights import (
     rational_weight_factor,
     weight_factor,
     weight_factor_tilde,
-    weighted_count,
     weighted_hurwitz,
 )
 
@@ -226,9 +225,8 @@ def test_weighted_hurwitz_examples():
 
 def test_weighted_count_record():
     G = WeightGen.finite_product([F(1)])
-    wc = weighted_count(G, 0, (2, 1), (1, 2))
-    assert (wc.d, wc.mu, wc.nu) == (0, (2, 1), (2, 1))
-    assert wc.value == F(1, z_of((2, 1)))
+    # profiles are normalized, so (1, 2) is the class of (2, 1)
+    assert weighted_hurwitz(G, 0, (2, 1), (1, 2)) == F(1, z_of((2, 1)))
 
 
 def test_generating_functions_are_one_at_zero():
