@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
+from operator import mul
 
 from .algebra import BetaSeries
 from .characters import _character
@@ -44,38 +46,72 @@ def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
     return series
 
 
+def _content_products(G: WeightGen, D: int, Nmax: int) -> dict[Partition, BetaSeries]:
+    """r_lambda for every |lambda| <= Nmax, one series product per diagram.
+
+    Each r_lambda extends the content product of lambda without the last
+    cell of its last row, whose content is lambda_l - l.
+    """
+    r = {(): BetaSeries.one(D)}
+    for n in range(1, Nmax + 1):
+        for lam in enumerate_partitions(n):
+            parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+            r[lam] = r[parent] * _content_series(G, lam[-1] - len(lam), D)
+    return r
+
+
+def _cleared(values) -> tuple[list[int], int]:
+    """Integers a_i and one denominator L with values[i] = a_i / L."""
+    L = lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
+@cache
+def _rho_ladder(G: WeightGen, beta: Fraction, M: int | None, sign: int) -> list[Fraction]:
+    """The rho values known so far, grown in place by :func:`rho`.
+
+    sign 1 holds rho_0, rho_1, ...; sign -1 holds rho_{-1}, rho_{-2}, ...
+    """
+    return [Fraction(1)] if sign > 0 else [1 / beta]
+
+
 @cache
 def rho(G: WeightGen, j: int, beta: Fraction, M: int | None = None) -> Fraction:
     """Exact value of the normalization constant rho_j at numeric beta.
 
     rho_j = beta^j prod_{i=1..j} G(i beta) for j >= 0 (rho_0 = 1) and
     rho_{-j} = beta^{-j} prod_{i=1..j-1} G(-i beta)^{-1}; the quantum
-    family needs a product truncation ``M``.
+    family needs a product truncation ``M``.  Each value extends the one
+    next to it on the ladder by a single factor of G.
     """
     beta = Fraction(beta)
     if beta == 0:
         raise UsageError("beta must be nonzero", code="bad-beta")
     if j >= 0:
-        val = beta ** j
-        for i in range(1, j + 1):
+        ladder = _rho_ladder(G, beta, M, 1)
+        while len(ladder) <= j:
+            i = len(ladder)
             try:
-                val *= eval_weight_gen(G, i * beta, M)
+                g = eval_weight_gen(G, i * beta, M)
             except SingularParameterError as exc:
                 raise SingularParameterError(
                     f"rho_{j} undefined: G({i}*beta) is singular ({exc})",
                     code="singular-rho",
                 ) from exc
-        return val
-    val = beta ** j
-    for i in range(1, -j):
+            ladder.append(ladder[-1] * beta * g)
+        return ladder[j]
+    ladder = _rho_ladder(G, beta, M, -1)
+    while len(ladder) < -j:
+        # ladder[i - 1] is rho_{-i}; the next value divides by G(-i beta)
+        i = len(ladder)
         g = eval_weight_gen(G, -i * beta, M)
         if g == 0:
             raise SingularParameterError(
                 f"rho_{j} undefined: G(-{i}*beta) = 0 at beta={beta}",
                 code="singular-rho",
             )
-        val /= g
-    return val
+        ladder.append(ladder[-1] / (beta * g))
+    return ladder[-j - 1]
 
 
 def rho_formal(G: WeightGen, j: int, D: int) -> tuple[int, BetaSeries]:
@@ -112,23 +148,22 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     """Expand the double Schur series through weight Nmax and beta-order D."""
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
+    r = _content_products(G, D, Nmax)
     coeffs: dict = {}
     for n in range(Nmax + 1):
         parts = enumerate_partitions(n)
-        r = {lam: r_lambda(G, lam, D) for lam in parts}
-        chi = {(lam, mu): _character(lam, mu) for lam in parts for mu in parts}
-        z = {mu: z_of(mu) for mu in parts}
-        for mu in parts:
-            for nu in parts:
-                zz = z[mu] * z[nu]
-                for e in range(n, n + D + 1):
-                    total = Fraction(0)
-                    for lam in parts:
-                        c = r[lam].coeff(e - n)
-                        if c:
-                            total += c * chi[(lam, mu)] * chi[(lam, nu)]
+        chi = [[_character(lam, mu) for lam in parts] for mu in parts]
+        z = [z_of(mu) for mu in parts]
+        # entry (mu, nu, n + d) = sum_lam a_lam chi_lam(mu) chi_lam(nu) / (L z_mu z_nu)
+        cleared = [_cleared([r[lam].coeffs[d] for lam in parts]) for d in range(D + 1)]
+        for i, mu in enumerate(parts):
+            scaled = [([a * c for a, c in zip(ints, chi[i])], L) for ints, L in cleared]
+            for k, nu in enumerate(parts):
+                zz = z[i] * z[k]
+                for d, (w, L) in enumerate(scaled):
+                    total = sum(map(mul, w, chi[k]))
                     if total:
-                        coeffs[(mu, nu, e)] = total / zz
+                        coeffs[(mu, nu, n + d)] = Fraction(total, L * zz)
     return TauTable(G, D, Nmax, coeffs)
 
 
@@ -162,20 +197,21 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
+    r = _content_products(G, D, Nmax)
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
         parts = enumerate_partitions(n)
-        r = {lam: r_lambda(G, lam, D) for lam in parts}
-        h = {lam: hook_product(lam) for lam in parts}
+        h = [hook_product(lam) for lam in parts]
+        # entry (mu, d) = sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r[d] / h
+        cleared = [
+            _cleared([r[lam].coeffs[d] / hl for lam, hl in zip(parts, h)])
+            for d in range(D + 1)
+        ]
         for mu in parts:
+            chi = [_character(lam, mu) for lam in parts]
             zm = z_of(mu)
-            for d in range(D + 1):
-                total = Fraction(0)
-                for lam in parts:
-                    c = r[lam].coeff(d)
-                    if c:
-                        total += Fraction(c * _character(lam, mu), h[lam])
-                out[(mu, d)] = total / zm
+            for d, (b, L) in enumerate(cleared):
+                out[(mu, d)] = Fraction(sum(map(mul, b, chi)), L * zm)
     return out
 
 
@@ -196,18 +232,21 @@ def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
     power = {j: sum(x ** j for x in xs) for j in range(1, Nmax + 1)}
     total = Fraction(1)  # empty diagram contributes 1
     for n in range(1, Nmax + 1):
-        for lam in enumerate_partitions(n):
+        parts = enumerate_partitions(n)
+        # p_mu(X) / z_mu, once per mu; zero power sums drop out
+        pz = {}
+        for mu in parts:
+            pm = Fraction(1)
+            for part in mu:
+                pm *= power[part]
+            if pm:
+                pz[mu] = pm / z_of(mu)
+        for lam in parts:
             r = Fraction(1)
             for c in contents(lam):
                 r *= eval_weight_gen(G, c * beta)
             if r == 0:
                 continue
-            s = Fraction(0)
-            for mu in enumerate_partitions(n):
-                pm = Fraction(1)
-                for part in mu:
-                    pm *= power[part]
-                if pm:
-                    s += Fraction(_character(lam, mu), z_of(mu)) * pm
+            s = sum((_character(lam, mu) * v for mu, v in pz.items()), Fraction(0))
             total += r * s / hook_product(lam)
     return total

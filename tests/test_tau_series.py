@@ -1,11 +1,24 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hurwitz_tau import tau_series
 from hurwitz_tau.algebra import BetaSeries
+from hurwitz_tau.characters import _character
+from hurwitz_tau.cli import run
 from hurwitz_tau.errors import SingularParameterError, UsageError
-from hurwitz_tau.partitions import enumerate_partitions, identity_cycle_type, length, z_of
+from hurwitz_tau.partitions import (
+    enumerate_partitions,
+    hook_product,
+    identity_cycle_type,
+    length,
+    z_of,
+)
 from hurwitz_tau.tau_series import (
+    _content_products,
+    _content_series,
     extract_H,
     r_lambda,
     rho,
@@ -39,19 +52,28 @@ def test_rho_values():
         rho(G1, 1, 0)
 
 
+def _rho_by_products(G, j, beta, M=None):
+    # rho_j = beta^j prod_{i<=j} G(i beta), rho_{-j} = beta^{-j} / prod_{i<j} G(-i beta)
+    value = beta ** j
+    for i in range(1, j + 1):
+        value *= eval_weight_gen(G, i * beta, M)
+    for i in range(1, -j):
+        value /= eval_weight_gen(G, -i * beta, M)
+    return value
+
+
 def test_rho_recurrence_identity():
-    # G(j beta) = rho_j / (beta rho_{j-1}) for j >= 1, numerically and formally
-    beta = F(1, 5)
-    for G in (G1, GR):
-        for j in range(1, 8):
-            lhs = eval_weight_gen(G, j * beta)
-            assert lhs == rho(G, j, beta) / (beta * rho(G, j - 1, beta))
+    # numerically against the written-out products, formally by one factor
+    for G in (G1, GR, GQ):
+        M = 12 if G is GQ else None
+        # asked upwards at beta = 1/11, downwards at beta = 2/9
+        for beta, js in ((F(1, 11), range(-8, 9)), (F(2, 9), range(8, -9, -1))):
+            for j in js:
+                assert rho(G, j, beta, M) == _rho_by_products(G, j, beta, M), (G.kind, j)
     for G in (G1, GR, GQ):
         for j in range(1, 6):
             ej, sj = rho_formal(G, j, 6)
             ejm1, sjm1 = rho_formal(G, j - 1, 6)
-            from hurwitz_tau.tau_series import _content_series
-
             assert ej - ejm1 == 1
             assert sj == sjm1 * _content_series(G, j, 6)
 
@@ -61,6 +83,23 @@ def test_rho_singular_negative_names_offending_factor():
     with pytest.raises(SingularParameterError) as err:
         rho(G1, -4, F(1, 3))
     assert "G(-3*beta)" in str(err.value)
+
+
+def test_rho_ladder_errors_name_requested_index():
+    # G = (1 + z)/(1 - z/3) has its pole at 9*beta for beta = 1/3, and
+    # G(-3*beta) = 0; every index past them names itself and the same factor
+    beta = F(1, 3)
+    for j in (12, 10, 9):
+        with pytest.raises(SingularParameterError) as err:
+            rho(GR, j, beta)
+        assert err.value.code == "singular-rho"
+        assert str(err.value).startswith(f"rho_{j} undefined: G(9*beta) is singular")
+    assert rho(GR, 8, beta) == _rho_by_products(GR, 8, beta)
+    for j in (-6, -4):
+        with pytest.raises(SingularParameterError) as err:
+            rho(GR, j, beta)
+        assert str(err.value) == f"rho_{j} undefined: G(-3*beta) = 0 at beta=1/3"
+    assert rho(GR, -3, beta) == _rho_by_products(GR, -3, beta)
 
 
 def test_rho_formal_matches_numeric_when_regular():
@@ -206,3 +245,97 @@ def test_tau_eval_at_matrix():
     assert tau_eval_at_matrix(G1, 1, [x], 3) == 1 + x + x ** 2 + x ** 3
     with pytest.raises(UsageError):
         tau_eval_at_matrix(GQ, F(1, 2), [x], 3)
+
+
+# -- integer table kernels ---------------------------------------------------
+
+KERNEL_GENS = (
+    WeightGen.trivial(),
+    WeightGen.finite_product([F(1), F(1, 2), F(-1, 3)]),
+    GR,
+    GQ,
+    WeightGen.rational([-1], [F(-1, 3)]),  # GR reflected, z -> -z
+)
+
+
+def _fraction_double_table(G, D, Nmax):
+    # the Fraction triple sum over lambda, entry by entry
+    coeffs = {}
+    for n in range(Nmax + 1):
+        parts = enumerate_partitions(n)
+        r = {lam: r_lambda(G, lam, D) for lam in parts}
+        for mu in parts:
+            for nu in parts:
+                for e in range(n, n + D + 1):
+                    total = F(0)
+                    for lam in parts:
+                        total += r[lam].coeff(e - n) * _character(lam, mu) * _character(lam, nu)
+                    if total:
+                        coeffs[(mu, nu, e)] = total / (z_of(mu) * z_of(nu))
+    return coeffs
+
+
+def _fraction_single_table(G, D, Nmax):
+    out = {}
+    for n in range(Nmax + 1):
+        parts = enumerate_partitions(n)
+        r = {lam: r_lambda(G, lam, D) for lam in parts}
+        for mu in parts:
+            for d in range(D + 1):
+                total = F(0)
+                for lam in parts:
+                    total += F(r[lam].coeff(d) * _character(lam, mu), hook_product(lam))
+                out[(mu, d)] = total / z_of(mu)
+    return out
+
+
+@pytest.mark.parametrize("G", KERNEL_GENS, ids=lambda G: G.describe())
+def test_integer_kernels_match_fraction_sum(G):
+    # values and insertion order: mu, then nu, then e
+    table = tau_double_table(G, 5, 6)
+    assert list(table.coeffs.items()) == list(_fraction_double_table(G, 5, 6).items())
+    single = tau_single_table(G, 5, 6)
+    assert list(single.items()) == list(_fraction_single_table(G, 5, 6).items())
+
+
+def test_content_product_ladder_matches_r_lambda():
+    for G in (GR, GQ, WeightGen.finite_product([F(1), F(1, 2), F(-1, 3)])):
+        ladder = _content_products(G, 8, 8)
+        expected = [lam for n in range(9) for lam in enumerate_partitions(n)]
+        assert list(ladder) == expected
+        for lam in expected:
+            assert ladder[lam] == r_lambda(G, lam, 8), (G.describe(), lam)
+
+
+def test_verify_tau_negative_control(monkeypatch, capsys):
+    argv = ["verify", "--suite", "tau", "--gen", "rational", "--c", "1",
+            "--d", "1/3", "--nmax", "3", "--order", "3"]
+    name = "series coefficients = direct weighted counts"
+    assert run(argv) == 0
+    assert f"PASS {name}" in capsys.readouterr().out
+
+    def shifted(G, content, D):
+        # one beta coefficient of the content-1 series moves by 2^-50
+        series = _content_series(G, content, D)
+        if content != 1:
+            return series
+        cs = list(series.coeffs)
+        cs[1] += F(1, 2 ** 50)
+        return BetaSeries(cs)
+
+    monkeypatch.setattr(tau_series, "_content_series", shifted)
+    assert run(argv) == 1
+    assert f"FAIL {name}" in capsys.readouterr().out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=4),
+                min_size=1, max_size=3))
+def test_finite_product_table_equals_weighted_counts(c):
+    G = WeightGen.finite_product(c)
+    table = tau_double_table(G, 3, 4)
+    for n in range(5):
+        for mu in enumerate_partitions(n):
+            for nu in enumerate_partitions(n):
+                for d in range(4):
+                    assert extract_H(table, d, mu, nu) == weighted_hurwitz(G, d, mu, nu)
