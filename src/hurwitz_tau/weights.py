@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, permutations
+from itertools import combinations, groupby
 from math import factorial
 
 from .algebra import BetaSeries
@@ -141,93 +141,80 @@ def eval_weight_gen(G: WeightGen, x: Fraction, M: int | None = None) -> Fraction
     return val
 
 
-def _ordered_index_sum(c: tuple[Fraction, ...], exps, strict: bool) -> Fraction:
-    """Sum over index tuples i_1 R i_2 R ... R i_k of prod_t c[i_t]**exps[t].
+def _weight_sum(profiles, power_sum) -> Fraction:
+    """(1/k!) sum over set partitions pi of the k profile colengths of
+    prod_{B in pi} (-1)^(|B|-1) (|B|-1)! power_sum(colength sum of B).
 
-    R is '<' when strict else '<='.  Computed with right-to-left suffix
-    sums, O(k * len(c)) per exponent ordering.
+    With power_sum(m) = sum_i c_i^m this is the sum over injective maps from
+    the profiles to the c parameters, i.e. the strict-chain weight factor
+    (Moebius inversion over set partitions).  The block holding the first
+    remaining colength is chosen first, so each partition is met once; the
+    rest is memoised on the sorted remaining colengths, about 3^k steps.
     """
-    m = len(c)
-    suffix = [Fraction(1)] * (m + 1)
-    for t in range(len(exps) - 1, -1, -1):
-        e = exps[t]
-        new = [Fraction(0)] * (m + 1)
-        acc = Fraction(0)
-        for i in range(m - 1, -1, -1):
-            tail = suffix[i + 1] if strict else suffix[i]
-            if tail:
-                acc += c[i] ** e * tail
-            new[i] = acc
-        suffix = new
-    return suffix[0]
+    exps = tuple(sorted(colength(as_partition(p)) for p in profiles))
+    if not exps:
+        raise UsageError("weight factor needs at least one profile",
+                         code="empty-profiles")
+    power_sum = cache(power_sum)
 
+    @cache
+    def over(rest: tuple[int, ...]):
+        if not rest:
+            return 1
+        others = rest[1:]
+        total = 0
+        for size in range(len(others) + 1):
+            coeff = (-1) ** size * factorial(size)
+            for chosen in combinations(range(len(others)), size):
+                left = tuple(e for i, e in enumerate(others) if i not in chosen)
+                total += power_sum(sum(rest) - sum(left)) * (coeff * over(left))
+        return total
 
-def _colengths(profiles) -> list[int]:
-    return [colength(as_partition(p)) for p in profiles]
+    return Fraction(over(exps), factorial(len(exps)))
 
 
 def weight_factor(c, profiles) -> Fraction:
     """Symmetrized strictly-increasing index sum over the c parameters.
 
     (1/k!) sum over permutations and strict index chains of the monomial
-    with exponents given by the profile colengths; vanishes when the
-    parameter list is shorter than the number of profiles.
+    with exponents given by the profile colengths, i.e. m_lambda(c)
+    |Aut lambda| / k!; vanishes when the parameter list is shorter than the
+    number of profiles.
     """
-    exps = _colengths(profiles)
-    k = len(exps)
-    if k < 1:
-        raise UsageError("weight factor needs at least one profile",
-                         code="empty-profiles")
     c = tuple(Fraction(x) for x in c)
-    total = Fraction(0)
-    for p in permutations(exps):
-        total += _ordered_index_sum(c, p, strict=True)
-    return total / factorial(k)
+    return _weight_sum(profiles, lambda m: sum(x ** m for x in c))
 
 
 def weight_factor_tilde(c, profiles) -> Fraction:
-    """Dual weight factor: non-strict index chains with the alternating sign."""
-    exps = _colengths(profiles)
-    k = len(exps)
-    if k < 1:
-        raise UsageError("weight factor needs at least one profile",
-                         code="empty-profiles")
+    """Dual weight factor: non-strict index chains with the alternating sign.
+
+    The involution omega (p_m -> (-1)^(m-1) p_m) of the strict factor: the
+    sign (-1)^(d+k) and the non-strict chains both come out of the flipped
+    power sums.
+    """
     c = tuple(Fraction(x) for x in c)
-    total = Fraction(0)
-    for p in permutations(exps):
-        total += _ordered_index_sum(c, p, strict=False)
-    sign = -1 if (sum(exps) + k) % 2 else 1
-    return sign * total / factorial(k)
+    return _weight_sum(profiles, lambda m: -sum((-x) ** m for x in c))
 
 
 def quantum_weight_factor(q, profiles) -> Fraction:
     """Closed form of the dual weight factor for the quantum exponential.
 
-    (-1)^(d-k)/k! sum over permutations of prod_j 1/(1 - q^(partial colength sum)).
+    The dual factor at c_i = q^i, i >= 0, whose power sums are 1/(1 - q^m);
+    equals (-1)^(d-k)/k! times the sum over orderings of
+    prod_j 1/(1 - q^(partial colength sum)).
     """
-    exps = _colengths(profiles)
-    k = len(exps)
-    if k < 1:
-        raise UsageError("weight factor needs at least one profile",
-                         code="empty-profiles")
     q = Fraction(q)
-    d = sum(exps)
-    total = Fraction(0)
-    for p in permutations(exps):
-        term = Fraction(1)
-        partial = 0
-        for e in p:
-            partial += e
-            den = 1 - q ** partial
-            if den == 0:
-                raise SingularParameterError(
-                    f"quantum weight factor: 1 - q^{partial} vanishes at q={q}",
-                    code="singular-quantum",
-                )
-            term /= den
-        total += term
-    sign = -1 if (d - k) % 2 else 1
-    return sign * total / factorial(k)
+
+    def power_sum(m: int) -> Fraction:
+        den = 1 - q ** m
+        if den == 0:
+            raise SingularParameterError(
+                f"quantum weight factor: 1 - q^{m} vanishes at q={q}",
+                code="singular-quantum",
+            )
+        return (-1) ** (m - 1) / den
+
+    return _weight_sum(profiles, power_sum)
 
 
 def rational_weight_factor(c, d, mu_profiles, nu_profiles) -> Fraction:

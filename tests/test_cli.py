@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from hurwitz_tau import analytic
 from hurwitz_tau.cli import emit_table, parse_profiles, run
 from hurwitz_tau.errors import UsageError
 
@@ -152,6 +154,47 @@ def test_verify_reports_failure_exit_code(capsys):
     out, _ = capture(capsys)
     assert code == 0
     assert "SKIP" in out
+
+
+# beta = 1/3 meets the pole of G at 9 * beta = 3: rho_9 does not exist
+POLE_ARGV = ["verify", "--suite", "analytic", "--gen", "rational", "--c", "1",
+             "--d", "1/3", "--beta", "1/3", "--kmax", "6", "--order", "24"]
+
+
+def test_verify_determinant_window_capped_at_pole(capsys):
+    code = run(POLE_ARGV)
+    out, _ = capture(capsys)
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if "determinant representation" in ln]
+    assert len(lines) == 3
+    reason = "(window capped: rho_9 undefined: G(9*beta) is singular"
+    # rows, Wronskian and prefactor use rho_-n .. rho_(J-n): J = 8 + n
+    for n, line in zip((1, 2, 3), lines):
+        assert line.startswith(
+            f"PASS determinant representation n={n}: calibrated beta exponent {-n}, "
+            f"Wronskian equal exactly, orders 0..{8 + n} {reason}"
+        )
+    assert out.endswith("ALL CHECKS PASSED\n")
+
+
+def test_verify_capped_determinant_negative_control(capsys, monkeypatch):
+    # phi_1's x^2 coefficient off by 2^-50 (as in the analytic negative
+    # control): a capped window must still report the calibration failure
+    real = analytic.phi_k
+
+    def perturbed(G, beta, k, J, M=None):
+        p = real(G, beta, k, J, M)
+        return p.with_coeff(2, p.coeff(2) + F(1, 2 ** 50)) if k == 1 else p
+
+    monkeypatch.setattr(analytic, "phi_k", perturbed)
+    code = run(POLE_ARGV)
+    out, _ = capture(capsys)
+    assert code == 1
+    lines = [ln for ln in out.splitlines() if "determinant representation" in ln]
+    assert len(lines) == 3
+    for n, line in zip((1, 2, 3), lines):
+        assert line == (f"FAIL determinant representation n={n}: "
+                        "calibration is not a pure beta power: mismatch at (2,)")
 
 
 def test_byte_identical_output(capsys):

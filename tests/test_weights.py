@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -80,10 +80,26 @@ def brute_weight_factor_tilde(c, profiles):
     return sign * total / factorial(k)
 
 
+def brute_quantum_weight_factor(q, profiles):
+    """(-1)^(d-k)/k! sum over orderings of prod_j 1/(1 - q^(prefix colength sum))."""
+    exps = [colength(p) for p in profiles]
+    k = len(exps)
+    total = F(0)
+    for order in permutations(exps):
+        term = F(1)
+        for t in range(1, k + 1):
+            term /= 1 - q ** sum(order[:t])
+        total += term
+    sign = -1 if (sum(exps) - k) % 2 else 1
+    return sign * total / factorial(k)
+
+
 SMALL_PROFILES = [((2,),), ((3,),), ((2,), (2,)), ((3,), (2, 1)), ((2, 1), (2, 1), (2, 1))]
+# colengths 1, 2, 2, 3: distinct and repeated block sums
+MIXED_4 = ((2, 1, 1), (3, 1), (2, 2), (4,))
 
 
-@pytest.mark.parametrize("profiles", SMALL_PROFILES)
+@pytest.mark.parametrize("profiles", SMALL_PROFILES + [MIXED_4])
 def test_weight_factor_matches_brute_force(profiles):
     cs = [F(1), F(1, 2), F(-2, 3), F(3)]
     for m in range(1, len(cs) + 1):
@@ -125,6 +141,36 @@ def test_quantum_weight_factor_examples():
             quantum_weight_factor(q, profiles) - weight_factor_tilde(trunc, profiles)
         )
         assert gap < F(1, 2 ** 40)
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-1, 3), F(2, 3)])
+def test_quantum_weight_factor_matches_brute_force(q):
+    for profiles in SMALL_PROFILES + [MIXED_4]:
+        assert quantum_weight_factor(q, profiles) == brute_quantum_weight_factor(q, profiles)
+
+
+def test_quantum_weight_factor_singular():
+    # q = -1: 1 - q^m vanishes for every even m; the prefix sums of all
+    # orderings are all sub-multiset sums, so an even one anywhere raises
+    assert quantum_weight_factor(F(-1), ((2,),)) == F(1, 2)
+    assert quantum_weight_factor(F(-1), ((4,),)) == F(1, 2)
+    for profiles in (((3,),), ((2,), (2,)), ((2,), (4,)), MIXED_4):
+        with pytest.raises(SingularParameterError) as err:
+            quantum_weight_factor(F(-1), profiles)
+        assert err.value.code == "singular-quantum"
+
+
+def test_weight_factors_with_eight_profiles():
+    # eight colength-1 profiles: the strict factor is e_8, the dual one h_8,
+    # and the quantum one h_8(1, q, q^2, ...) = 1/(q;q)_8
+    profiles = [(2,)] * 8
+    c = [F(1), F(1, 2), F(-2, 3), F(3), F(-1), F(5, 7), F(1, 4), F(-3, 2), F(2)]
+    e8 = sum((prod(idx) for idx in combinations(c, 8)), F(0))
+    h8 = sum((prod(idx) for idx in combinations_with_replacement(c, 8)), F(0))
+    assert weight_factor(c, profiles) == e8
+    assert weight_factor_tilde(c, profiles) == h8
+    for q in (F(1, 2), F(-1, 3), F(2, 3)):
+        assert quantum_weight_factor(q, profiles) == g_coeffs(WeightGen.quantum(q), 8)[8]
 
 
 def test_rational_weight_factor():
