@@ -15,6 +15,8 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 from . import analytic
 from .algebra import format_rational, parse_rational
@@ -22,6 +24,7 @@ from .errors import HurwitzTauError, UsageError
 from .hurwitz import ProfileTuple, hurwitz_number, hurwitz_oracle, riemann_hurwitz
 from .characters import character_table
 from .partitions import (
+    colength,
     enumerate_partitions,
     format_partition,
     identity_cycle_type,
@@ -139,8 +142,11 @@ def _cmd_weighted(args) -> int:
     G = weight_gen_from_args(args)
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu) if args.nu else identity_cycle_type(weight(mu))
-    terms = weighted_hurwitz_terms(G, args.deg, mu, nu)
-    total = sum((t.value for t in terms), Fraction(0))
+    if args.trace:
+        terms = weighted_hurwitz_terms(G, args.deg, mu, nu)
+        total = sum((t.value for t in terms), Fraction(0))
+    else:
+        total = weighted_hurwitz(G, args.deg, mu, nu)
     out = {
         "gen": G.describe(),
         "d": args.deg,
@@ -253,24 +259,51 @@ def _suite_hurwitz(s: _Suite, nmax: int):
         )
 
 
+def _quantum_prefix_sums(q: Fraction, profiles) -> Fraction:
+    """Quantum dual weight factor from its definition over orderings:
+    (-1)^(d-k)/k! sum over the k! orderings of the profile colengths of
+    prod_t 1/(1 - q^(t-th prefix sum)).  Shares no code with the weights
+    module's set-partition sum, so it checks that sum; k! terms, so kept to
+    few profiles.
+    """
+    exps = [colength(p) for p in profiles]
+    total = Fraction(0)
+    for order in permutations(exps):
+        term = Fraction(1)
+        prefix = 0
+        for e in order:
+            prefix += e
+            term /= 1 - q ** prefix
+        total += term
+    k = len(exps)
+    return (-1) ** (sum(exps) - k) * total / factorial(k)
+
+
 def _suite_weights(s: _Suite, G: WeightGen):
     if G.kind == "quantum":
         trunc = [G.q ** i for i in range(61)]
         from .weights import profile_multisets
 
         worst = Fraction(0)
+        bad = cases = 0
+        # d <= 4, so at most 4 profiles and 24 orderings each
         for N in range(1, 5):
             for d in range(1, 5):
                 for profiles, _ in profile_multisets(N, d):
-                    diff = abs(
-                        quantum_weight_factor(G.q, profiles)
-                        - weight_factor_tilde(trunc, profiles)
-                    )
-                    worst = max(worst, diff)
+                    closed = quantum_weight_factor(G.q, profiles)
+                    worst = max(worst, abs(closed - weight_factor_tilde(trunc, profiles)))
+                    cases += 1
+                    if closed != _quantum_prefix_sums(G.q, profiles):
+                        bad += 1
         s.check(
             "quantum closed form vs truncated dual weight factor",
             worst < Fraction(1, 2 ** 40),
             f"worst gap {float(worst):.3e} < 2^-40",
+        )
+        s.check(
+            "quantum closed form = prefix sums over all orderings",
+            bad == 0,
+            f"{cases} profile multisets, N <= 4, d <= 4",
         )
     else:
         s.skip("quantum tail comparison", "generating function is not quantum")
@@ -463,10 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first run, not at import, and reused by every later run
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except HurwitzTauError as exc:
         print(_emit_json({"error": exc.code, "message": str(exc)}), file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 from .characters import _character
 from .errors import ScaleGuardError, UsageError
@@ -58,18 +58,21 @@ def hurwitz_number(pt: ProfileTuple) -> Fraction:
     """Character-sum evaluation: sum_lam h(lam)^(k-2) prod_j chi/z.
 
     Counts all factorizations of the identity, i.e. possibly disconnected
-    covers, exactly what the generating series produce.
+    covers, exactly what the generating series produce.  The characters are
+    integers, so the sum runs over ints with the z's cleared; for k = 1 the
+    hook product h(lam) divides N!, which clears 1/h(lam).
     """
     k = len(pt.profiles)
     if k < 1:
         raise UsageError("need at least one ramification profile", code="empty-profiles")
-    total = Fraction(0)
+    scale = 1 if k >= 2 else factorial(pt.N)
+    total = 0
     for lam in enumerate_partitions(pt.N):
-        term = Fraction(hook_product(lam)) ** (k - 2)
+        term = hook_product(lam) ** (k - 2) if k >= 2 else scale // hook_product(lam)
         for p in pt.profiles:
-            term *= Fraction(_character(lam, p), z_of(p))
+            term *= _character(lam, p)
         total += term
-    return total
+    return Fraction(total, scale * prod(z_of(p) for p in pt.profiles))
 
 
 def riemann_hurwitz(pt: ProfileTuple) -> tuple[int, Fraction]:

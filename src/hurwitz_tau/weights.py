@@ -281,8 +281,14 @@ class WeightedTerm:
         return self.arrangements * self.factor * self.base
 
 
-def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
-    """All contributing profile configurations for H^d_G(mu, nu)."""
+def _checked_query(G: WeightGen, d: int, mu, nu) -> tuple[Partition, Partition, bool]:
+    """Normalised (mu, nu) of the query H^d_G(mu, nu) and whether it is odd.
+
+    Every input the count is not defined on raises here, whatever its parity.
+    When the total colength d + colength(mu) + colength(nu) is odd, the signs
+    (-1)^colength of every configuration's classes multiply to -1, so no
+    product of permutations from them is the identity and the count is 0.
+    """
     mu = as_partition(mu)
     nu = as_partition(nu)
     if weight(mu) != weight(nu):
@@ -292,32 +298,38 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
         )
     if d < 0:
         raise UsageError("total weighted colength d must be >= 0", code="bad-degree")
+    if d and G.kind == "quantum" and nu != identity_cycle_type(weight(nu)):
+        raise UsageError(
+            "quantum weighting defines single Hurwitz numbers only; "
+            "nu must be the identity cycle type",
+            code="quantum-single-only",
+        )
+    return mu, nu, (d + colength(mu) + colength(nu)) % 2 == 1
+
+
+def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
+    """All contributing profile configurations for H^d_G(mu, nu).
+
+    At an odd total colength each base count is 0 by parity and is not summed.
+    """
+    mu, nu, odd = _checked_query(G, d, mu, nu)
     N = weight(mu)
+
+    def count(profiles) -> Fraction:
+        if odd:
+            return Fraction(0)
+        return hurwitz_number(ProfileTuple(N, profiles + (mu, nu)))
+
     if d == 0:
-        base = hurwitz_number(ProfileTuple(N, (mu, nu)))
-        return [WeightedTerm((), (), 1, Fraction(1), base)]
+        return [WeightedTerm((), (), 1, Fraction(1), count(()))]
 
     terms: list[WeightedTerm] = []
-    if G.kind == "quantum":
-        if nu != identity_cycle_type(N):
-            raise UsageError(
-                "quantum weighting defines single Hurwitz numbers only; "
-                "nu must be the identity cycle type",
-                code="quantum-single-only",
-            )
+    if G.kind != "rational":
         for profiles, arr in profile_multisets(N, d):
-            w = quantum_weight_factor(G.q, profiles)
+            w = (quantum_weight_factor(G.q, profiles) if G.kind == "quantum"
+                 else weight_factor(G.c, profiles))
             if w:
-                base = hurwitz_number(ProfileTuple(N, profiles + (mu, nu)))
-                terms.append(WeightedTerm(profiles, (), arr, w, base))
-        return terms
-
-    if G.kind in ("trivial", "finite_product"):
-        for profiles, arr in profile_multisets(N, d):
-            w = weight_factor(G.c, profiles)
-            if w:
-                base = hurwitz_number(ProfileTuple(N, profiles + (mu, nu)))
-                terms.append(WeightedTerm(profiles, (), arr, w, base))
+                terms.append(WeightedTerm(profiles, (), arr, w, count(profiles)))
         return terms
 
     # rational: independent ordered sums over the two blocks
@@ -330,12 +342,8 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
                     continue
                 w = rational_weight_factor(G.c, G.d, mu_block, nu_block)
                 if w:
-                    base = hurwitz_number(
-                        ProfileTuple(N, mu_block + nu_block + (mu, nu))
-                    )
-                    terms.append(
-                        WeightedTerm(mu_block, nu_block, arr_a * arr_b, w, base)
-                    )
+                    terms.append(WeightedTerm(mu_block, nu_block, arr_a * arr_b, w,
+                                              count(mu_block + nu_block)))
     return terms
 
 
@@ -343,6 +351,9 @@ def weighted_hurwitz(G: WeightGen, d: int, mu, nu) -> Fraction:
     """Weighted Hurwitz number H^d_G(mu, nu), exact.
 
     d = 0 degenerates to the unweighted two-point count delta_{mu,nu}/z_mu;
-    for the quantum family only nu = (1^N) is defined.
+    for the quantum family only nu = (1^N) is defined.  An odd total colength
+    returns 0 once the inputs are checked.
     """
+    if _checked_query(G, d, mu, nu)[2]:
+        return Fraction(0)
     return sum((t.value for t in weighted_hurwitz_terms(G, d, mu, nu)), Fraction(0))

@@ -1,11 +1,16 @@
 import json
 from fractions import Fraction as F
+from functools import cache
+from itertools import combinations
+from math import factorial
+from pathlib import Path
 
 import pytest
 
-from hurwitz_tau import analytic
+from hurwitz_tau import analytic, cli, weights
 from hurwitz_tau.cli import emit_table, parse_profiles, run
 from hurwitz_tau.errors import UsageError
+from hurwitz_tau.partitions import colength
 
 
 def capture(capsys):
@@ -266,3 +271,109 @@ def test_weighted_quantum_rejects_nonidentity_nu(capsys):
     _, err = capture(capsys)
     assert code == 2
     assert json.loads(err)["error"] == "quantum-single-only"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--deg", "0", "--mu", "[2]", "--nu", "[3]"], "weight-mismatch"),
+    (["--gen", "rational", "--c", "1", "--d", "1/3", "--deg", "2",
+      "--mu", "[2]", "--nu", "[1,1,1]"], "weight-mismatch"),
+    (["--gen", "finite", "--c", "1", "--deg", "-1", "--mu", "[2]", "--nu", "[2]"],
+     "bad-degree"),
+    (["--gen", "quantum", "--q", "1/2", "--deg", "2", "--mu", "[3]", "--nu", "[2,1]"],
+     "quantum-single-only"),
+], ids=["weight-mismatch", "weight-mismatch-rational", "bad-degree", "quantum-single-only"])
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+def test_weighted_odd_total_usage_errors(capsys, argv, error, trace):
+    # every argv has an odd total colength: the input check comes before the
+    # parity zero
+    code = run(["weighted", *argv, *trace])
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(["chartable", "--n", "2"]) == 0
+    assert run(["weighted", "--deg", "1", "--mu", "[2]", "--nu", "[2]"]) == 0
+    capture(capsys)
+    # an argument error leaves the cached parser usable
+    assert run(["chartable", "--n", "x"]) == 2
+    out, err = capture(capsys)
+    assert out == "" and json.loads(err)["error"] == "bad-argument"
+    assert run(["hurwitz", "--n", "2", "--profiles", "[2],[2]"]) == 0
+    out, _ = capture(capsys)
+    assert json.loads(out)["H"] == "1/2"
+    # a flag given to one call does not stick to the next
+    weighted = ["weighted", "--gen", "finite", "--c", "1", "--deg", "1",
+                "--mu", "[2]", "--nu", "[1,1]"]
+    assert run(weighted + ["--trace"]) == 0
+    out, _ = capture(capsys)
+    assert "terms" in json.loads(out)
+    assert run(weighted) == 0
+    out, _ = capture(capsys)
+    assert json.loads(out) == {"gen": "finite_product(c=[1], d=[])", "d": 1,
+                               "mu": [2], "nu": [1, 1], "H": "1/2"}
+    assert built == [1]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+def test_cli_output_matches_golden(capsys):
+    # stdout of weighted with and without --trace at odd and even totals for
+    # four families, hurwitz --oracle, phi and chartable; the printed bytes
+    # are part of the CLI contract
+    assert len(GOLDEN) > 100
+    changed = []
+    for case in GOLDEN:
+        code = run(case["argv"])
+        out, err = capture(capsys)
+        if (code, out, err) != (0, case["stdout"], ""):
+            changed.append(" ".join(case["argv"]))
+    assert changed == []
+
+
+def _weight_sum_without_block_sign(profiles, power_sum):
+    """weights._weight_sum with (-1)^(|B|-1) dropped from every block."""
+    exps = tuple(sorted(colength(p) for p in profiles))
+
+    @cache
+    def over(rest):
+        if not rest:
+            return 1
+        others = rest[1:]
+        total = 0
+        for size in range(len(others) + 1):
+            for chosen in combinations(range(len(others)), size):
+                left = tuple(e for i, e in enumerate(others) if i not in chosen)
+                total += power_sum(sum(rest) - sum(left)) * factorial(size) * over(left)
+        return total
+
+    return F(over(exps), factorial(len(exps)))
+
+
+def test_verify_weights_negative_control(capsys, monkeypatch):
+    argv = ["verify", "--suite", "weights", "--gen", "quantum", "--q", "1/2"]
+    assert run(argv) == 0
+    capture(capsys)
+    monkeypatch.setattr(weights, "_weight_sum", _weight_sum_without_block_sign)
+    assert weights.quantum_weight_factor(F(1, 2), [(2,), (2,)]) == F(4, 3)  # not 8/3
+    code = run(argv)
+    out, _ = capture(capsys)
+    assert code == 1
+    # both sides of the tail comparison share the mutant; the ordered sums do not
+    tail, ordered, summary = out.splitlines()
+    assert tail.startswith("PASS quantum closed form vs truncated dual weight factor")
+    assert ordered == ("FAIL quantum closed form = prefix sums over all orderings: "
+                       "27 profile multisets, N <= 4, d <= 4")
+    assert summary == "FAILURES: 1"

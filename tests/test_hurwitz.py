@@ -14,7 +14,8 @@ from hurwitz_tau.hurwitz import (
     identity_perm,
     riemann_hurwitz,
 )
-from hurwitz_tau.partitions import enumerate_partitions
+from hurwitz_tau.characters import _character
+from hurwitz_tau.partitions import enumerate_partitions, hook_product, z_of
 
 
 def test_pinned_values():
@@ -69,10 +70,11 @@ def test_profile_order_invariance():
 
 def test_parity_vanishing():
     # sign of a class mu is (-1)^colength; if the product of signs is not +1
-    # there are no factorizations of the identity
+    # there are no factorizations of the identity.  The weights module
+    # answers odd totals by this rule alone, so both routes are kept here.
     from hurwitz_tau.partitions import colength
 
-    for N in (2, 3, 4):
+    for N in (2, 3, 4, 5):
         parts = enumerate_partitions(N)
         for k in (1, 2, 3):
             for profs in product(parts, repeat=k):
@@ -91,3 +93,24 @@ def test_permutation_helpers():
     classes = conjugacy_classes(4)
     assert sum(len(v) for v in classes.values()) == 24
     assert len(classes[(2, 1, 1)]) == 6
+
+
+def fraction_character_sum(pt):
+    """The character sum in Fractions term by term, h^(k-2) prod chi/z."""
+    k = len(pt.profiles)
+    total = F(0)
+    for lam in enumerate_partitions(pt.N):
+        term = F(hook_product(lam)) ** (k - 2)
+        for p in pt.profiles:
+            term *= F(_character(lam, p), z_of(p))
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_integer_character_sum_matches_fraction_sum(N):
+    parts = enumerate_partitions(N)
+    for k in (1, 2, 3):
+        for profs in product(parts, repeat=k):
+            pt = ProfileTuple(N, profs)
+            assert hurwitz_number(pt) == fraction_character_sum(pt), profs

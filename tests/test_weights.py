@@ -7,6 +7,7 @@ import pytest
 from hurwitz_tau.errors import SingularParameterError, UsageError
 from hurwitz_tau.hurwitz import ProfileTuple, hurwitz_number
 from hurwitz_tau.partitions import colength, enumerate_partitions, identity_cycle_type, z_of
+from hurwitz_tau.tau_series import extract_H, tau_double_table
 from hurwitz_tau.weights import (
     WeightGen,
     eval_weight_gen,
@@ -17,6 +18,7 @@ from hurwitz_tau.weights import (
     weight_factor,
     weight_factor_tilde,
     weighted_hurwitz,
+    weighted_hurwitz_terms,
 )
 
 
@@ -294,12 +296,64 @@ def test_weighted_hurwitz_symmetry():
                 assert weighted_hurwitz(G, d, mu, nu) == weighted_hurwitz(G, d, nu, mu)
 
 
+# (G, d, mu, nu, error code): each total colength d + colength(mu) +
+# colength(nu) is listed at both parities, so the checks must come before
+# the parity zero
+USAGE_ERRORS = [
+    (WeightGen.finite_product([1]), 1, (2,), (3,), "weight-mismatch"),        # even
+    (WeightGen.finite_product([1]), 0, (2,), (3,), "weight-mismatch"),        # odd
+    (WeightGen.rational([1], [F(1, 3)]), 2, (2,), (1, 1, 1), "weight-mismatch"),  # odd
+    (WeightGen.finite_product([1]), -1, (2,), (2,), "bad-degree"),            # odd
+    (WeightGen.finite_product([1]), -2, (2,), (2,), "bad-degree"),            # even
+    (WeightGen.trivial(), -2, (2,), (1, 1), "bad-degree"),                    # odd
+    (WeightGen.quantum(F(1, 2)), 1, (2,), (2,), "quantum-single-only"),       # odd
+    (WeightGen.quantum(F(1, 2)), 2, (3,), (2, 1), "quantum-single-only"),     # odd
+    (WeightGen.quantum(F(1, 2)), 1, (3,), (2, 1), "quantum-single-only"),     # even
+]
+
+
 def test_weighted_hurwitz_usage_errors():
-    G = WeightGen.finite_product([1])
-    with pytest.raises(UsageError):
-        weighted_hurwitz(G, 1, (2,), (3,))
-    with pytest.raises(UsageError):
-        weighted_hurwitz(G, -1, (2,), (2,))
-    Gq = WeightGen.quantum(F(1, 2))
-    with pytest.raises(UsageError):
-        weighted_hurwitz(Gq, 1, (2,), (2,))  # nu must be the identity type
+    for G, d, mu, nu, code in USAGE_ERRORS:
+        for fn in (weighted_hurwitz, weighted_hurwitz_terms):
+            with pytest.raises(UsageError) as err:
+                fn(G, d, mu, nu)
+            assert err.value.code == code, (G, d, mu, nu)
+    # d = 0 is the unweighted two-point count for every family
+    assert weighted_hurwitz(WeightGen.quantum(F(1, 2)), 0, (2, 1), (2, 1)) == F(1, 2)
+
+
+def _odd_total_queries(G, nmax, dmax):
+    for N in range(1, nmax + 1):
+        parts = enumerate_partitions(N)
+        for mu in parts:
+            for nu in ([identity_cycle_type(N)] if G.kind == "quantum" else parts):
+                for d in range(dmax + 1):
+                    if (d + colength(mu) + colength(nu)) % 2:
+                        yield d, mu, nu
+
+
+@pytest.mark.parametrize("G", [
+    WeightGen.trivial(),
+    WeightGen.finite_product([F(1), F(-1, 2)]),
+    WeightGen.rational([F(1)], [F(1, 3)]),
+    WeightGen.quantum(F(1, 2)),
+], ids=["trivial", "finite", "rational", "quantum"])
+def test_odd_total_is_zero_by_the_character_sum(G):
+    # the package answers odd totals without the character sum; here every
+    # configuration's count is summed in full and must cancel to 0
+    nmax, dmax = 4, 5
+    table = tau_double_table(G, dmax, nmax)
+    queries = list(_odd_total_queries(G, nmax, dmax))
+    assert len(queries) > 20
+    configs = 0
+    for d, mu, nu in queries:
+        total = F(0)
+        for t in weighted_hurwitz_terms(G, d, mu, nu):
+            assert t.base == 0
+            profiles = t.mu_block + t.nu_block + (mu, nu)
+            total += t.arrangements * t.factor * hurwitz_number(
+                ProfileTuple(sum(mu), profiles))
+            configs += 1
+        assert total == 0, (d, mu, nu)
+        assert weighted_hurwitz(G, d, mu, nu) == 0 == extract_H(table, d, mu, nu)
+    assert configs > 0
