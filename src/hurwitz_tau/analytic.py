@@ -24,8 +24,8 @@ from .errors import (
     SingularParameterError,
     UsageError,
 )
-from .partitions import contents, enumerate_partitions, hook_product
-from .tau_series import rho
+from .partitions import hook_product, partitions_up_to
+from .tau_series import _content_products, rho
 from .weights import WeightGen, eval_weight_gen
 
 
@@ -404,14 +404,6 @@ def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRep
 # Both routes return {lambda: coefficient} over partitions with at most n
 # parts, so they compare coefficient by coefficient.
 
-def _schur_shapes(n: int, max_deg: int):
-    """Partitions with at most n parts and weight <= max_deg."""
-    for w in range(max_deg + 1):
-        for lam in enumerate_partitions(w):
-            if len(lam) <= n:
-                yield lam
-
-
 def _literal_minors(G: WeightGen, beta, n: int, J: int,
                     M: int | None = None) -> dict:
     """Schur coefficients of the literal (beta^0) determinant formula.
@@ -430,7 +422,7 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int,
     for i in range(1, n + 1):
         pref /= rho(G, -i, beta, M)
     out = {}
-    for lam in _schur_shapes(n, 1 - n + J):
+    for lam in partitions_up_to(1 - n + J, n):
         parts = lam + (0,) * (n - len(lam))
         # c_i(m) is the coefficient of x^(m - n + 1) in phi_i
         minor = exact_det([[p.power_coeff(parts[j] - j) for j in range(n)]
@@ -455,17 +447,13 @@ def tau_det_polynomial(G: WeightGen, beta, n: int, J: int,
 def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
     """Direct series in the Schur basis: r_lambda(beta) / h_lambda.
 
-    Covers partitions with at most n parts and |lambda| <= max_deg.
+    Covers partitions with at most n parts and |lambda| <= max_deg, so G is
+    never evaluated at a content that only longer diagrams have.
     """
     beta = Fraction(beta)
-    out = {}
-    for lam in _schur_shapes(n, max_deg):
-        r = Fraction(1)
-        for c in contents(lam):
-            r *= eval_weight_gen(G, c * beta)
-        if r:
-            out[lam] = r / hook_product(lam)
-    return out
+    r = _content_products(lambda c: eval_weight_gen(G, c * beta), Fraction(1),
+                          partitions_up_to(max_deg, n))
+    return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
 
 def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int,

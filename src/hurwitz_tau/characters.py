@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from operator import mul
 
 from .errors import ScaleGuardError, UsageError
 from .partitions import (
@@ -90,16 +91,28 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n, values)
 
 
+def schur_to_powersum(n: int) -> list[tuple[Partition, list[int], int]]:
+    """The transition s_lam = sum_mu chi_lam(mu)/z_mu p_mu at weight n, in ints:
+    (mu, [chi_lam(mu) for each lam], z_mu) per mu, both in enumeration order."""
+    parts = enumerate_partitions(n)
+    return [(mu, [_character(lam, mu) for lam in parts], z_of(mu)) for mu in parts]
+
+
+def powersum_numerators(ints: list[int], rows) -> list[int]:
+    """sum_lam ints[lam] chi_lam(mu) per row of :func:`schur_to_powersum`: with
+    Schur coefficients ints / L, the p_mu coefficient is this over L z_mu."""
+    return [sum(map(mul, ints, row)) for _, row, _ in rows]
+
+
 def schur_in_powersums(lam) -> dict[Partition, Fraction]:
     """Expansion coefficients of the Schur function over power-sum products.
 
     s_lam = sum_mu chi_lam(mu)/z_mu * p_mu, summed over |mu| = |lam|.
     """
     lam = as_partition(lam)
-    return {
-        mu: Fraction(_character(lam, mu), z_of(mu))
-        for mu in enumerate_partitions(weight(lam))
-    }
+    rows = schur_to_powersum(weight(lam))
+    k = [mu for mu, _, _ in rows].index(lam)
+    return {mu: Fraction(row[k], z) for mu, row, z in rows}
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

@@ -281,7 +281,14 @@ def _quantum_prefix_sums(q: Fraction, profiles) -> Fraction:
 
 def _suite_weights(s: _Suite, G: WeightGen):
     if G.kind == "quantum":
-        trunc = [G.q ** i for i in range(61)]
+        # Cut at c_i = q^i, i < T, the dual factor of k <= 4 profiles loses its
+        # non-decreasing index chains that reach T: at most |q|^T / (1 - |q|)^k.
+        # T is the least with that below 2^-56, 2^16 under the 2^-40 bound, so
+        # the check sees the closed form, not the cut; T = 61 at |q| = 1/2.
+        tail_cap = Fraction(1, 2 ** 56) * (1 - abs(G.q)) ** 4
+        trunc = [Fraction(1)]
+        while abs(trunc[-1] * G.q) >= tail_cap:
+            trunc.append(trunc[-1] * G.q)
         from .weights import profile_multisets
 
         worst = Fraction(0)

@@ -29,10 +29,6 @@ def weight(mu: Partition) -> int:
     return sum(mu)
 
 
-def length(mu: Partition) -> int:
-    return len(mu)
-
-
 def colength(mu: Partition) -> int:
     """|mu| - l(mu), the defect a branch point with this profile contributes."""
     return sum(mu) - len(mu)
@@ -121,6 +117,15 @@ def enumerate_partitions(n: int) -> list[Partition]:
         raise UsageError("cannot enumerate partitions of a negative integer",
                          code="bad-partition")
     return list(_partitions(n))
+
+
+def partitions_up_to(max_weight: int, max_parts: int | None = None):
+    """Partitions of weight <= max_weight (and <= max_parts parts), by weight;
+    each comes after itself less the last cell of its last row."""
+    for w in range(max_weight + 1):
+        for lam in _partitions(w):
+            if max_parts is None or len(lam) <= max_parts:
+                yield lam
 
 
 def format_partition(mu: Partition) -> str:

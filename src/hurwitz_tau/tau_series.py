@@ -12,20 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
-from operator import mul
+from math import lcm, prod
 
 from .algebra import BetaSeries
-from .characters import _character
+from .characters import powersum_numerators, schur_to_powersum
 from .errors import SingularParameterError, UsageError
 from .partitions import (
     Partition,
     as_partition,
     contents,
-    enumerate_partitions,
     hook_product,
+    partitions_up_to,
     weight,
-    z_of,
 )
 from .weights import WeightGen, eval_weight_gen, g_coeffs
 
@@ -46,17 +44,19 @@ def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
     return series
 
 
-def _content_products(G: WeightGen, D: int, Nmax: int) -> dict[Partition, BetaSeries]:
-    """r_lambda for every |lambda| <= Nmax, one series product per diagram.
+def _content_products(factor, one, shapes) -> dict:
+    """prod_{cells} factor(content) for every lambda in shapes; () gives ``one``.
 
-    Each r_lambda extends the content product of lambda without the last
-    cell of its last row, whose content is lambda_l - l.
+    Each product extends that of lambda without the last cell of its last
+    row, whose content is lambda_l - l, so shapes must list that one first.
     """
-    r = {(): BetaSeries.one(D)}
-    for n in range(1, Nmax + 1):
-        for lam in enumerate_partitions(n):
-            parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
-            r[lam] = r[parent] * _content_series(G, lam[-1] - len(lam), D)
+    r = {}
+    for lam in shapes:
+        if not lam:
+            r[lam] = one
+            continue
+        parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+        r[lam] = r[parent] * factor(lam[-1] - len(lam))
     return r
 
 
@@ -115,15 +115,11 @@ def rho(G: WeightGen, j: int, beta: Fraction, M: int | None = None) -> Fraction:
 
 
 def rho_formal(G: WeightGen, j: int, D: int) -> tuple[int, BetaSeries]:
-    """Formal rho_j split as (beta-exponent, unit-constant beta-series)."""
-    series = BetaSeries.one(D)
+    """Formal rho_j split as (beta-exponent, unit-constant beta-series):
+    the content product of the row (j + 1), or the inverse of the column (1^-j)."""
     if j >= 0:
-        for i in range(1, j + 1):
-            series = series * _content_series(G, i, D)
-    else:
-        for i in range(1, -j):
-            series = series * _content_series(G, -i, D).inv()
-    return j, series
+        return j, r_lambda(G, (j + 1,), D)
+    return j, r_lambda(G, (1,) * -j, D).inv()
 
 
 @dataclass(frozen=True)
@@ -148,22 +144,20 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     """Expand the double Schur series through weight Nmax and beta-order D."""
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    r = _content_products(G, D, Nmax)
+    r = _content_products(lambda c: _content_series(G, c, D), BetaSeries.one(D),
+                          partitions_up_to(Nmax))
     coeffs: dict = {}
     for n in range(Nmax + 1):
-        parts = enumerate_partitions(n)
-        chi = [[_character(lam, mu) for lam in parts] for mu in parts]
-        z = [z_of(mu) for mu in parts]
+        rows = schur_to_powersum(n)
         # entry (mu, nu, n + d) = sum_lam a_lam chi_lam(mu) chi_lam(nu) / (L z_mu z_nu)
-        cleared = [_cleared([r[lam].coeffs[d] for lam in parts]) for d in range(D + 1)]
-        for i, mu in enumerate(parts):
-            scaled = [([a * c for a, c in zip(ints, chi[i])], L) for ints, L in cleared]
-            for k, nu in enumerate(parts):
-                zz = z[i] * z[k]
-                for d, (w, L) in enumerate(scaled):
-                    total = sum(map(mul, w, chi[k]))
-                    if total:
-                        coeffs[(mu, nu, n + d)] = Fraction(total, L * zz)
+        cleared = [_cleared([r[lam].coeffs[d] for lam, _, _ in rows]) for d in range(D + 1)]
+        for mu, chi, zm in rows:
+            totals = [powersum_numerators([a * c for a, c in zip(ints, chi)], rows)
+                      for ints, _ in cleared]
+            for k, (nu, _, zn) in enumerate(rows):
+                for d, (_, L) in enumerate(cleared):
+                    if totals[d][k]:
+                        coeffs[(mu, nu, n + d)] = Fraction(totals[d][k], L * zm * zn)
     return TauTable(G, D, Nmax, coeffs)
 
 
@@ -197,21 +191,21 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    r = _content_products(G, D, Nmax)
+    r = _content_products(lambda c: _content_series(G, c, D), BetaSeries.one(D),
+                          partitions_up_to(Nmax))
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
-        parts = enumerate_partitions(n)
-        h = [hook_product(lam) for lam in parts]
+        rows = schur_to_powersum(n)
+        h = [hook_product(lam) for lam, _, _ in rows]
         # entry (mu, d) = sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r[d] / h
         cleared = [
-            _cleared([r[lam].coeffs[d] / hl for lam, hl in zip(parts, h)])
+            _cleared([r[lam].coeffs[d] / hl for (lam, _, _), hl in zip(rows, h)])
             for d in range(D + 1)
         ]
-        for mu in parts:
-            chi = [_character(lam, mu) for lam in parts]
-            zm = z_of(mu)
-            for d, (b, L) in enumerate(cleared):
-                out[(mu, d)] = Fraction(sum(map(mul, b, chi)), L * zm)
+        totals = [powersum_numerators(b, rows) for b, _ in cleared]
+        for k, (mu, _, zm) in enumerate(rows):
+            for d, (_, L) in enumerate(cleared):
+                out[(mu, d)] = Fraction(totals[d][k], L * zm)
     return out
 
 
@@ -230,23 +224,14 @@ def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
     beta = Fraction(beta)
     xs = [Fraction(x) for x in X]
     power = {j: sum(x ** j for x in xs) for j in range(1, Nmax + 1)}
+    r = _content_products(lambda c: eval_weight_gen(G, c * beta), Fraction(1),
+                          partitions_up_to(Nmax))
     total = Fraction(1)  # empty diagram contributes 1
     for n in range(1, Nmax + 1):
-        parts = enumerate_partitions(n)
-        # p_mu(X) / z_mu, once per mu; zero power sums drop out
-        pz = {}
-        for mu in parts:
-            pm = Fraction(1)
-            for part in mu:
-                pm *= power[part]
-            if pm:
-                pz[mu] = pm / z_of(mu)
-        for lam in parts:
-            r = Fraction(1)
-            for c in contents(lam):
-                r *= eval_weight_gen(G, c * beta)
-            if r == 0:
-                continue
-            s = sum((_character(lam, mu) * v for mu, v in pz.items()), Fraction(0))
-            total += r * s / hook_product(lam)
+        rows = schur_to_powersum(n)
+        # sum_mu p_mu(X) sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r / h
+        b, L = _cleared([r[lam] / hook_product(lam) for lam, _, _ in rows])
+        for (mu, _, zm), k in zip(rows, powersum_numerators(b, rows)):
+            if k:
+                total += Fraction(k, L * zm) * prod(power[part] for part in mu)
     return total

@@ -189,6 +189,19 @@ def test_det_polynomial_matches_direct_series(n):
             assert det_poly.get(key, F(0)) == direct.get(key, F(0)), key
 
 
+def test_direct_polynomial_covers_only_its_shapes():
+    # the pole of G at z = -3/5 is content -3 at beta = 1/5, which only
+    # diagrams with four or more rows have
+    G = WeightGen.rational([1], [F(-5, 3)])
+    direct = tau_direct_polynomial(G, F(1, 5), 2, 6)
+    assert max(len(lam) for lam in direct) == 2 and (3, 3) in direct
+    for call in (lambda: tau_direct_polynomial(G, F(1, 5), 4, 6),
+                 lambda: tau_eval_at_matrix(G, F(1, 5), [F(1, 2), F(1, 3)], 6)):
+        with pytest.raises(SingularParameterError) as err:
+            call()
+        assert err.value.code == "weight-gen-pole"
+
+
 def test_calibration_negative_control(monkeypatch):
     # phi_1's x^2 coefficient off by 2^-50: at n = 2 it enters the Schur
     # coefficients of (2), (2,1), (2,2) but not the constant term, so the

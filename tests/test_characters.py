@@ -1,5 +1,6 @@
 from fractions import Fraction as F
-from math import factorial
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
@@ -69,3 +70,35 @@ def test_schur_in_powersums():
     assert schur_in_powersums((1,)) == {(1,): F(1)}
     assert schur_in_powersums((2,)) == {(2,): F(1, 2), (1, 1): F(1, 2)}
     assert schur_in_powersums((1, 1)) == {(2,): F(-1, 2), (1, 1): F(1, 2)}
+    # every |lam| <= 6 against the bialternant at m = 1..3 rational points
+    points = (F(1, 2), F(-1, 3), F(2, 5))
+    for n in range(7):
+        for lam in enumerate_partitions(n):
+            expansion = schur_in_powersums(lam)
+            for m in (1, 2, 3):
+                xs = points[:m]
+                via_powersums = sum(
+                    c * prod(sum(x ** part for x in xs) for part in mu)
+                    for mu, c in expansion.items()
+                )
+                assert via_powersums == _bialternant(lam, xs), (lam, m)
+
+
+def _det(matrix):
+    # Leibniz sum; the matrices here are at most 3 x 3
+    n = len(matrix)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def _bialternant(lam, xs):
+    """s_lam(xs) = det(x_i^(lam_j + m - j)) / det(x_i^(m - j)); 0 if l(lam) > m."""
+    m = len(xs)
+    if len(lam) > m:
+        return F(0)
+    parts = lam + (0,) * (m - len(lam))
+    num = _det([[x ** (parts[j] + m - 1 - j) for j in range(m)] for x in xs])
+    return num / _det([[x ** (m - 1 - j) for j in range(m)] for x in xs])

@@ -377,3 +377,11 @@ def test_verify_weights_negative_control(capsys, monkeypatch):
     assert ordered == ("FAIL quantum closed form = prefix sums over all orderings: "
                        "27 profile multisets, N <= 4, d <= 4")
     assert summary == "FAILURES: 1"
+
+
+@pytest.mark.parametrize("q", ["2/3", "-7/10", "9/10"])
+def test_verify_weights_tail_passes_for_larger_q(capsys, q):
+    # at these q a 61-term cut of the dual factor already misses more than 2^-40
+    assert run(["verify", "--suite", "weights", "--gen", "quantum", f"--q={q}", "--m", "40"]) == 0
+    out, _ = capture(capsys)
+    assert out.startswith("PASS quantum closed form vs truncated dual weight factor")

@@ -13,7 +13,7 @@ from hurwitz_tau.partitions import (
     enumerate_partitions,
     hook_product,
     identity_cycle_type,
-    length,
+    partitions_up_to,
     z_of,
 )
 from hurwitz_tau.tau_series import (
@@ -229,7 +229,7 @@ def test_genus_bookkeeping_connected_cases():
     for G, d, mu, nu in cases:
         value = extract_H(table, d, mu, nu)
         if value != 0:
-            two_minus_2g = length(mu) + length(nu) - d
+            two_minus_2g = len(mu) + len(nu) - d
             assert two_minus_2g <= 2
             assert (2 - two_minus_2g) % 2 == 0
 
@@ -300,7 +300,8 @@ def test_integer_kernels_match_fraction_sum(G):
 
 def test_content_product_ladder_matches_r_lambda():
     for G in (GR, GQ, WeightGen.finite_product([F(1), F(1, 2), F(-1, 3)])):
-        ladder = _content_products(G, 8, 8)
+        ladder = _content_products(lambda c: _content_series(G, c, 8), BetaSeries.one(8),
+                                   partitions_up_to(8))
         expected = [lam for n in range(9) for lam in enumerate_partitions(n)]
         assert list(ladder) == expected
         for lam in expected:
