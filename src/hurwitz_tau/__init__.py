@@ -9,7 +9,6 @@ matches exactly or fails loudly.
 
 from .algebra import BetaSeries, format_rational, parse_rational
 from .characters import (
-    CharacterTable,
     character,
     character_oracle,
     character_table,

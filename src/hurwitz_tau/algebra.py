@@ -50,7 +50,7 @@ def parse_rational(text: str) -> Fraction:
     if i < n and text[i] in "+-":
         i += 1
     start = i
-    while i < n and text[i].isdigit():
+    while i < n and text[i].isdecimal():
         i += 1
     if i == start:
         fail(i, "expected a digit")
@@ -61,7 +61,7 @@ def parse_rational(text: str) -> Fraction:
         fail(i, f"unexpected character {text[i]!r}")
     i += 1
     dstart = i
-    while i < n and text[i].isdigit():
+    while i < n and text[i].isdecimal():
         i += 1
     if i == dstart:
         fail(i, "expected a digit")

@@ -215,7 +215,7 @@ def ode_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
     valid for ratio-type weight functions with nonzero c parameters; unlike
     the raw symbol form it never divides by a vanishing factor of G.
     """
-    if G.kind not in ("trivial", "finite_product", "rational"):
+    if G.q is not None:
         raise UsageError("cleared ODE form exists for ratio-type weight functions",
                          code="bad-weight-kind")
     if any(cl == 0 for cl in G.c):
@@ -254,9 +254,7 @@ def check_spectral(G: WeightGen, beta, k: int, J: int,
     p = phi_k(G, beta, k, jk, M)
     residuals = spectral_residuals(p, G, M)
     ode_checked = False
-    if G.kind in ("trivial", "finite_product", "rational") and all(
-        cl != 0 for cl in G.c
-    ):
+    if G.q is None and all(cl != 0 for cl in G.c):
         residuals += ode_residuals(p, G)
         ode_checked = True
     return IdentityReport(

@@ -8,7 +8,6 @@ on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -72,34 +71,16 @@ def character(lam, mu) -> int:
     return _character(lam, mu)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Full character table of S_n: values[(lam, mu)] over all pairs of weight n."""
-
-    n: int
-    values: dict
-
-    def value(self, lam: Partition, mu: Partition) -> int:
-        return self.values[(lam, mu)]
-
-
-def character_table(n: int) -> CharacterTable:
-    parts = enumerate_partitions(n)
-    values = {
-        (lam, mu): _character(lam, mu) for lam in parts for mu in parts
-    }
-    return CharacterTable(n, values)
-
-
-def schur_to_powersum(n: int) -> list[tuple[Partition, list[int], int]]:
-    """The transition s_lam = sum_mu chi_lam(mu)/z_mu p_mu at weight n, in ints:
-    (mu, [chi_lam(mu) for each lam], z_mu) per mu, both in enumeration order."""
+def character_table(n: int) -> list[tuple[Partition, list[int], int]]:
+    """Character table of S_n, read as the transition s_lam = sum_mu
+    chi_lam(mu)/z_mu p_mu in ints: (mu, [chi_lam(mu) for each lam], z_mu)
+    per mu, both in enumeration order."""
     parts = enumerate_partitions(n)
     return [(mu, [_character(lam, mu) for lam in parts], z_of(mu)) for mu in parts]
 
 
 def powersum_numerators(ints: list[int], rows) -> list[int]:
-    """sum_lam ints[lam] chi_lam(mu) per row of :func:`schur_to_powersum`: with
+    """sum_lam ints[lam] chi_lam(mu) per row of :func:`character_table`: with
     Schur coefficients ints / L, the p_mu coefficient is this over L z_mu."""
     return [sum(map(mul, ints, row)) for _, row, _ in rows]
 
@@ -110,7 +91,7 @@ def schur_in_powersums(lam) -> dict[Partition, Fraction]:
     s_lam = sum_mu chi_lam(mu)/z_mu * p_mu, summed over |mu| = |lam|.
     """
     lam = as_partition(lam)
-    rows = schur_to_powersum(weight(lam))
+    rows = character_table(weight(lam))
     k = [mu for mu, _, _ in rows].index(lam)
     return {mu: Fraction(row[k], z) for mu, row, z in rows}
 

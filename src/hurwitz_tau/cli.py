@@ -191,15 +191,12 @@ def _cmd_tau_coeffs(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
-    table = character_table(args.n)
-    parts = enumerate_partitions(args.n)
+    rows = character_table(args.n)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda"] + [format_partition(mu) for mu in parts])
-    for lam in parts:
-        writer.writerow(
-            [format_partition(lam)] + [table.value(lam, mu) for mu in parts]
-        )
+    writer.writerow(["lambda"] + [format_partition(mu) for mu, _, _ in rows])
+    for i, (lam, _, _) in enumerate(rows):
+        writer.writerow([format_partition(lam)] + [chi[i] for _, chi, _ in rows])
     print(buf.getvalue().rstrip("\n"))
     return 0
 

@@ -152,7 +152,7 @@ def parse_partition(text: str) -> Partition:
     pos = 1
     for piece in body.split(","):
         item = piece.strip()
-        if not item.isdigit() or int(item) <= 0:
+        if not item.isdecimal() or int(item) <= 0:
             fail(pos, f"expected a positive integer, got {piece.strip()!r}")
         parts.append(int(item))
         pos += len(piece) + 1

@@ -15,7 +15,7 @@ from functools import cache
 from math import lcm, prod
 
 from .algebra import BetaSeries
-from .characters import powersum_numerators, schur_to_powersum
+from .characters import character_table, powersum_numerators
 from .errors import SingularParameterError, UsageError
 from .partitions import (
     Partition,
@@ -148,7 +148,7 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
                           partitions_up_to(Nmax))
     coeffs: dict = {}
     for n in range(Nmax + 1):
-        rows = schur_to_powersum(n)
+        rows = character_table(n)
         # entry (mu, nu, n + d) = sum_lam a_lam chi_lam(mu) chi_lam(nu) / (L z_mu z_nu)
         cleared = [_cleared([r[lam].coeffs[d] for lam, _, _ in rows]) for d in range(D + 1)]
         for mu, chi, zm in rows:
@@ -195,7 +195,7 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
                           partitions_up_to(Nmax))
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
-        rows = schur_to_powersum(n)
+        rows = character_table(n)
         h = [hook_product(lam) for lam, _, _ in rows]
         # entry (mu, d) = sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r[d] / h
         cleared = [
@@ -216,7 +216,7 @@ def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
     computed from power sums p_j = sum x_i^j.  The quantum family has no
     exact numeric content product and is rejected.
     """
-    if G.kind == "quantum":
+    if G.q is not None:
         raise UsageError(
             "exact series evaluation is not defined for the quantum family",
             code="quantum-unsupported",
@@ -228,7 +228,7 @@ def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
                           partitions_up_to(Nmax))
     total = Fraction(1)  # empty diagram contributes 1
     for n in range(1, Nmax + 1):
-        rows = schur_to_powersum(n)
+        rows = character_table(n)
         # sum_mu p_mu(X) sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r / h
         b, L = _cleared([r[lam] / hook_product(lam) for lam, _, _ in rows])
         for (mu, _, zm), k in zip(rows, powersum_numerators(b, rows)):

@@ -1,8 +1,9 @@
 """Weight generating functions and weighted Hurwitz numbers.
 
 A weight generating function assigns a rational weight to every tuple of
-branch-point profiles.  Supported families: the trivial function G = 1,
-finite products prod (1 + c_i z), ratios of such products, and the quantum
+branch-point profiles.  Supported families: ratios
+prod (1 + c_l z) / prod (1 - d_m z), of which finite products (no d) and
+the trivial function G = 1 (no c, no d) are special cases, and the quantum
 exponential prod_{i>=0} (1 - q^i z)^{-1}.  Weighted Hurwitz numbers combine
 these weights with the classical character-sum counts.
 """
@@ -76,18 +77,14 @@ def g_coeffs(G: WeightGen, J: int) -> tuple[Fraction, ...]:
     """Taylor coefficients (g_0 = 1, g_1, ..., g_J) of the generating function."""
     if J < 0:
         raise UsageError("coefficient count must be >= 0", code="bad-order")
-    if G.kind == "trivial":
-        return (Fraction(1),) + (Fraction(0),) * J
-    if G.kind in ("finite_product", "rational"):
+    if G.q is None:
         num = BetaSeries.one(J)
         for cl in G.c:
             num = num * BetaSeries([1, cl], order=J)
-        if G.kind == "rational":
-            den = BetaSeries.one(J)
-            for dm in G.d:
-                den = den * BetaSeries([1, -dm], order=J)
-            num = num * den.inv()
-        return num.coeffs
+        den = BetaSeries.one(J)
+        for dm in G.d:
+            den = den * BetaSeries([1, -dm], order=J)
+        return (num * den.inv()).coeffs
     # quantum: coefficients 1/(q;q)_n
     out = [Fraction(1)]
     poch = Fraction(1)
@@ -107,9 +104,7 @@ def g_coeffs(G: WeightGen, J: int) -> tuple[Fraction, ...]:
 def eval_weight_gen(G: WeightGen, x: Fraction, M: int | None = None) -> Fraction:
     """Exact value G(x); the quantum product must be truncated at index ``M``."""
     x = Fraction(x)
-    if G.kind == "trivial":
-        return Fraction(1)
-    if G.kind in ("finite_product", "rational"):
+    if G.q is None:
         val = Fraction(1)
         for cl in G.c:
             val *= 1 + cl * x
@@ -127,6 +122,9 @@ def eval_weight_gen(G: WeightGen, x: Fraction, M: int | None = None) -> Fraction
             "quantum weight function needs a product truncation M for evaluation",
             code="quantum-needs-truncation",
         )
+    if M < 0:
+        raise UsageError(f"quantum product truncation M must be >= 0, got {M}",
+                         code="bad-truncation")
     val = Fraction(1)
     qpow = Fraction(1)
     for i in range(M + 1):
@@ -298,7 +296,7 @@ def _checked_query(G: WeightGen, d: int, mu, nu) -> tuple[Partition, Partition, 
         )
     if d < 0:
         raise UsageError("total weighted colength d must be >= 0", code="bad-degree")
-    if d and G.kind == "quantum" and nu != identity_cycle_type(weight(nu)):
+    if d and G.q is not None and nu != identity_cycle_type(weight(nu)):
         raise UsageError(
             "quantum weighting defines single Hurwitz numbers only; "
             "nu must be the identity cycle type",
@@ -324,23 +322,17 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
         return [WeightedTerm((), (), 1, Fraction(1), count(()))]
 
     terms: list[WeightedTerm] = []
-    if G.kind != "rational":
-        for profiles, arr in profile_multisets(N, d):
-            w = (quantum_weight_factor(G.q, profiles) if G.kind == "quantum"
-                 else weight_factor(G.c, profiles))
-            if w:
-                terms.append(WeightedTerm(profiles, (), arr, w, count(profiles)))
-        return terms
-
-    # rational: independent ordered sums over the two blocks
-    for dc in range(0, d + 1):
+    # colength dc goes to the c-block, d - dc to the d-block; without d
+    # parameters every nonempty d-block weighs 0, so only dc = d is run
+    for dc in range(0 if G.d else d, d + 1):
         mu_blocks = profile_multisets(N, dc) if dc else [((), 1)]
         nu_blocks = profile_multisets(N, d - dc) if d - dc else [((), 1)]
         for mu_block, arr_a in mu_blocks:
             for nu_block, arr_b in nu_blocks:
                 if not mu_block and not nu_block:
                     continue
-                w = rational_weight_factor(G.c, G.d, mu_block, nu_block)
+                w = (quantum_weight_factor(G.q, mu_block) if G.q is not None
+                     else rational_weight_factor(G.c, G.d, mu_block, nu_block))
                 if w:
                     terms.append(WeightedTerm(mu_block, nu_block, arr_a * arr_b, w,
                                               count(mu_block + nu_block)))

@@ -37,19 +37,20 @@ def test_weight_mismatch_rejected():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_orthogonality(n):
+    rows = character_table(n)
     parts = enumerate_partitions(n)
-    table = character_table(n)
-    for lam in parts:
-        for lam2 in parts:
-            acc = sum(
-                F(table.value(lam, mu) * table.value(lam2, mu), z_of(mu))
-                for mu in parts
-            )
+    assert [mu for mu, _, _ in rows] == parts
+    assert [z for _, _, z in rows] == [z_of(mu) for mu in parts]
+    for i, lam in enumerate(parts):
+        for j, lam2 in enumerate(parts):
+            acc = sum(F(chi[i] * chi[j], z) for _, chi, z in rows)
             assert acc == (1 if lam == lam2 else 0)
-    for mu in parts:
-        for nu in parts:
-            acc = sum(table.value(lam, mu) * table.value(lam, nu) for lam in parts)
-            assert acc == (z_of(mu) if mu == nu else 0)
+    for mu, chi_mu, z in rows:
+        # each row lists chi_lam(mu) with lam in enumeration order
+        assert chi_mu == [character(lam, mu) for lam in parts]
+        for nu, chi_nu, _ in rows:
+            acc = sum(a * b for a, b in zip(chi_mu, chi_nu))
+            assert acc == (z if mu == nu else 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -226,6 +226,33 @@ def test_phi_quantum_needs_truncation(capsys):
     assert json.loads(err)["error"] == "quantum-needs-truncation"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["hurwitz", "--n", "2", "--profiles", "[²]"], "bad-partition"),
+    (["weighted", "--deg", "1", "--mu", "[²]"], "bad-partition"),
+    (["phi", "--beta", "²/3", "--k", "1"], "bad-rational"),
+    (["weighted", "--gen", "finite", "--c", "¹", "--deg", "2", "--mu", "[2]"],
+     "bad-rational"),
+], ids=["hurwitz-profiles", "weighted-mu", "phi-beta", "weighted-c"])
+def test_unicode_digits_are_usage_errors(capsys, argv, error):
+    # superscript digits are str.isdigit() but not int(): they must be refused
+    # by the parser, not reach int() and leave a traceback
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_phi_negative_quantum_truncation(capsys):
+    # an empty product would silently stand in for G = 1
+    code = run(["phi", "--gen", "quantum", "--q", "1/2", "--beta", "1/23", "--k", "2",
+                "--order", "3", "--m", "-1"])
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "bad-truncation"
+
+
 def test_parser_errors_are_structured(capsys):
     # "-1/3" after a space reads as a flag, so --d has no value
     code = run(["verify", "--suite", "analytic", "--gen", "rational",
@@ -242,7 +269,8 @@ def test_parser_errors_are_structured(capsys):
     (["--gen", "quantum", "--q", "1/2"], "quantum-needs-truncation"),
     (["--beta", "0"], "bad-beta"),
     (["--order", "-1"], "bad-order"),
-], ids=["quantum-without-m", "zero-beta", "negative-order"])
+    (["--gen", "quantum", "--q", "1/2", "--m", "-3"], "bad-truncation"),
+], ids=["quantum-without-m", "zero-beta", "negative-order", "quantum-negative-m"])
 def test_verify_error_leaves_no_partial_report(capsys, argv, error):
     # the hurwitz, weights and tau suites pass before the analytic one stops
     code = run(["verify", "--suite", "all"] + argv)

@@ -51,6 +51,28 @@ def test_eval_weight_gen():
     assert eval_weight_gen(q, F(1, 2), M=0) == 2
     with pytest.raises(SingularParameterError):
         eval_weight_gen(q, 2, M=3)  # 1 - q*2 = 0
+    with pytest.raises(UsageError) as exc:
+        eval_weight_gen(q, F(1, 4), M=-1)  # an empty product is not G
+    assert exc.value.code == "bad-truncation"
+
+
+def test_trivial_and_finite_products_are_ratios_without_d():
+    # G = 1 is the ratio with no c and no d, a finite product the one with no d
+    empty = [WeightGen.trivial(), WeightGen.finite_product([]), WeightGen.rational([], [])]
+    xs = [F(0), F(1), F(-1, 2), F(7, 3)]
+    for G in empty:
+        assert g_coeffs(G, 10) == (1,) + (0,) * 10
+        assert [eval_weight_gen(G, x) for x in xs] == [1] * len(xs)
+    for c in ([], [1], [F(2, 3)], [1, F(-1, 2)]):
+        fin, rat = WeightGen.finite_product(c), WeightGen.rational(c, [])
+        assert g_coeffs(fin, 10) == g_coeffs(rat, 10)
+        assert [eval_weight_gen(fin, x) for x in xs] == [eval_weight_gen(rat, x) for x in xs]
+        for d in range(5):
+            for N in range(1, 5):
+                for mu in enumerate_partitions(N):
+                    for nu in enumerate_partitions(N):
+                        assert (weighted_hurwitz_terms(fin, d, mu, nu)
+                                == weighted_hurwitz_terms(rat, d, mu, nu)), (c, d, mu, nu)
 
 
 # -- brute-force references for the symmetrized index sums ------------------
