@@ -46,25 +46,27 @@ def parse_rational(text: str) -> Fraction:
             f"bad rational {text!r}: {why} at position {pos}", code="bad-rational"
         )
 
-    i, n = 0, len(text)
-    if i < n and text[i] in "+-":
-        i += 1
-    start = i
-    while i < n and text[i].isdecimal():
-        i += 1
-    if i == start:
-        fail(i, "expected a digit")
+    def digits_end(start: int) -> int:
+        # int() refuses a run past the interpreter's int-from-str limit
+        limit = sys.get_int_max_str_digits()
+        i = start
+        while i < n and text[i].isdecimal():
+            i += 1
+        if i == start:
+            fail(i, "expected a digit")
+        if 0 < limit < i - start:
+            fail(start + limit, f"more than {limit} digits")
+        return i
+
+    n = len(text)
+    i = digits_end(1 if text[:1] in ("+", "-") else 0)
     numerator = int(text[:i])
     if i == n:
         return Fraction(numerator)
     if text[i] != "/":
         fail(i, f"unexpected character {text[i]!r}")
-    i += 1
-    dstart = i
-    while i < n and text[i].isdecimal():
-        i += 1
-    if i == dstart:
-        fail(i, "expected a digit")
+    dstart = i + 1
+    i = digits_end(dstart)
     if i != n:
         fail(i, f"unexpected character {text[i]!r}")
     denominator = int(text[dstart:])

@@ -126,14 +126,27 @@ class IdentityReport:
     beta: Fraction
     requested_order: int
     checked_order: int
-    capped: bool
     cap_reason: str | None
     max_abs_residual: Fraction
     ode_checked: bool = False
 
     @property
+    def capped(self) -> bool:
+        return self.checked_order < self.requested_order
+
+    @property
     def ok(self) -> bool:
         return self.max_abs_residual == 0
+
+
+def _identity_report(identity: str, k: int, beta: Fraction, J: int, checked: int,
+                     reason: str | None, residuals: list[Fraction],
+                     ode_checked: bool = False) -> IdentityReport:
+    # the reason is reported only for a window that actually stops short of J
+    return IdentityReport(
+        identity, k, beta, J, checked, reason if checked < J else None,
+        max((abs(r) for r in residuals), default=Fraction(0)), ode_checked,
+    )
 
 
 def recursion_residuals(phi_km1: PhiSeries, phi_kk: PhiSeries) -> list[Fraction]:
@@ -165,19 +178,8 @@ def check_recursion(G: WeightGen, beta, k: int, J: int,
     jkm1, reason_km1 = max_regular_order(G, beta, k - 1, J, M)
     cur = phi_k(G, beta, k, jk, M)
     prev = phi_k(G, beta, k - 1, jkm1, M)
-    residuals = recursion_residuals(prev, cur)
-    checked = min(jk, jkm1 + 1)
-    cap_reason = reason_k or reason_km1
-    return IdentityReport(
-        identity="recursion",
-        k=k,
-        beta=beta,
-        requested_order=J,
-        checked_order=checked,
-        capped=checked < J,
-        cap_reason=cap_reason if checked < J else None,
-        max_abs_residual=max((abs(r) for r in residuals), default=Fraction(0)),
-    )
+    return _identity_report("recursion", k, beta, J, min(jk, jkm1 + 1),
+                            reason_k or reason_km1, recursion_residuals(prev, cur))
 
 
 def spectral_residuals(p: PhiSeries, G: WeightGen,
@@ -253,21 +255,10 @@ def check_spectral(G: WeightGen, beta, k: int, J: int,
     jk, reason = max_regular_order(G, beta, k, J, M)
     p = phi_k(G, beta, k, jk, M)
     residuals = spectral_residuals(p, G, M)
-    ode_checked = False
-    if G.q is None and all(cl != 0 for cl in G.c):
+    ode_checked = G.q is None and all(cl != 0 for cl in G.c)
+    if ode_checked:
         residuals += ode_residuals(p, G)
-        ode_checked = True
-    return IdentityReport(
-        identity="spectral",
-        k=k,
-        beta=beta,
-        requested_order=J,
-        checked_order=jk,
-        capped=jk < J,
-        cap_reason=reason if jk < J else None,
-        max_abs_residual=max((abs(r) for r in residuals), default=Fraction(0)),
-        ode_checked=ode_checked,
-    )
+    return _identity_report("spectral", k, beta, J, jk, reason, residuals, ode_checked)
 
 
 # -- determinant representations -------------------------------------------
@@ -346,6 +337,28 @@ def _det_inputs(G, beta, X, J, M):
     return xs, n
 
 
+def _rho_prefactor(G: WeightGen, beta: Fraction, n: int,
+                   M: int | None = None) -> Fraction:
+    """1 / prod_{i=1..n} rho_{-i}, shared by every determinant form."""
+    pref = Fraction(1)
+    for i in range(1, n + 1):
+        pref /= rho(G, -i, beta, M)
+    return pref
+
+
+def _det_form(G: WeightGen, beta: Fraction, xs: list[Fraction], rows,
+              scale: Fraction, M: int | None) -> DetRepValue:
+    """beta^e scale prod_j x_j^(n-1) det[row(x_j)] / (Delta(x) prod_i rho_{-i})
+    with the calibrated exponent e; the rows are built by the caller first."""
+    n = len(xs)
+    det = exact_det([[p.eval(x) for x in xs] for p in rows])
+    pref = scale * _rho_prefactor(G, beta, n, M)
+    for x in xs:
+        pref *= x ** (n - 1)
+    e = det_rep_calibration(n)
+    return DetRepValue(beta ** e * pref * det / vandermonde(xs), e)
+
+
 def tau_det_rep(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRepValue:
     """Ratio-of-determinants evaluation of the generating series at diag(X).
 
@@ -356,16 +369,7 @@ def tau_det_rep(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRepVa
     beta = Fraction(beta)
     xs, n = _det_inputs(G, beta, X, J, M)
     phis = [phi_k(G, beta, i, J - n + i, M) for i in range(1, n + 1)]
-    mat = [[p.eval(x) for x in xs] for p in phis]
-    det = exact_det(mat)
-    pref = Fraction(1)
-    for x in xs:
-        pref *= x ** (n - 1)
-    for i in range(1, n + 1):
-        pref /= rho(G, -i, beta, M)
-    e = det_rep_calibration(n)
-    value = beta ** e * pref * det / vandermonde(xs)
-    return DetRepValue(value, e)
+    return _det_form(G, beta, xs, phis, Fraction(1), M)
 
 
 def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRepValue:
@@ -380,17 +384,7 @@ def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRep
     rows = [phi_k(G, beta, n, J, M)]
     for _ in range(n - 1):
         rows.append(euler_apply(rows[-1]))
-    mat = [[p.eval(x) for x in xs] for p in rows]
-    det = exact_det(mat)
-    gamma = Fraction(_wronskian_sign(n)) * beta ** (n * (n - 1) // 2)
-    for i in range(1, n + 1):
-        gamma /= rho(G, -i, beta, M)
-    e = det_rep_calibration(n)
-    pref = Fraction(1)
-    for x in xs:
-        pref *= x ** (n - 1)
-    value = beta ** e * gamma * pref * det / vandermonde(xs)
-    return DetRepValue(value, e)
+    return _det_form(G, beta, xs, rows, _wronskian_sign(n) * beta ** (n * (n - 1) // 2), M)
 
 
 # -- Schur-basis comparison ------------------------------------------------
@@ -416,9 +410,7 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int,
     if J < n:
         raise UsageError(f"series order {J} too small for n = {n}", code="bad-order")
     phis = [phi_k(G, beta, i, J - n + i, M) for i in range(1, n + 1)]
-    pref = Fraction(1)
-    for i in range(1, n + 1):
-        pref /= rho(G, -i, beta, M)
+    pref = _rho_prefactor(G, beta, n, M)
     out = {}
     for lam in partitions_up_to(1 - n + J, n):
         parts = lam + (0,) * (n - len(lam))

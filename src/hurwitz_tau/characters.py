@@ -17,6 +17,8 @@ from .errors import ScaleGuardError, UsageError
 from .partitions import (
     Partition,
     as_partition,
+    colength,
+    cycle_type,
     enumerate_partitions,
     weight,
     z_of,
@@ -97,20 +99,7 @@ def schur_in_powersums(lam) -> dict[Partition, Fraction]:
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        cycle = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+    return -1 if colength(cycle_type(perm)) % 2 else 1
 
 
 @cache

@@ -15,12 +15,12 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 from . import analytic
 from .algebra import format_rational, parse_rational
-from .errors import HurwitzTauError, UsageError
+from .errors import HurwitzTauError, SingularParameterError, UsageError
 from .hurwitz import ProfileTuple, hurwitz_number, hurwitz_oracle, riemann_hurwitz
 from .characters import character_table
 from .partitions import (
@@ -35,6 +35,7 @@ from .partitions import (
 from .tau_series import extract_H, tau_double_table, tau_single_table
 from .weights import (
     WeightGen,
+    profile_multisets,
     quantum_weight_factor,
     weight_factor_tilde,
     weighted_hurwitz,
@@ -84,8 +85,19 @@ def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(piece.strip()) for piece in text.split(","))
 
 
+# the family flags each --gen kind reads; "--c ''" counts as not given
+_GEN_FLAGS = {"trivial": (), "finite": ("c",), "rational": ("c", "d"),
+              "quantum": ("q", "m")}
+
+
 def weight_gen_from_args(args) -> WeightGen:
     kind = args.gen
+    if kind not in _GEN_FLAGS:
+        raise UsageError(f"unknown generating function kind {kind!r}", code="bad-gen")
+    for flag in ("c", "d", "q", "m"):
+        if getattr(args, flag, None) not in (None, "") and flag not in _GEN_FLAGS[kind]:
+            raise UsageError(f"--{flag} is not a parameter of --gen {kind}",
+                             code="unused-flag")
     if kind == "trivial":
         return WeightGen.trivial()
     if kind == "finite":
@@ -94,11 +106,9 @@ def weight_gen_from_args(args) -> WeightGen:
         return WeightGen.rational(
             _parse_rational_list(args.c or ""), _parse_rational_list(args.d or "")
         )
-    if kind == "quantum":
-        if not args.q:
-            raise UsageError("--gen quantum needs --q", code="missing-flag")
-        return WeightGen.quantum(parse_rational(args.q))
-    raise UsageError(f"unknown generating function kind {kind!r}", code="bad-gen")
+    if not args.q:
+        raise UsageError("--gen quantum needs --q", code="missing-flag")
+    return WeightGen.quantum(parse_rational(args.q))
 
 
 def _emit_json(obj) -> str:
@@ -237,14 +247,12 @@ class _Suite:
 
 
 def _suite_hurwitz(s: _Suite, nmax: int):
-    from itertools import product as iproduct
-
     for N in range(2, nmax + 1):
         parts = enumerate_partitions(N)
         bad = 0
         cases = 0
         for k in (1, 2, 3):
-            for profs in iproduct(parts, repeat=k):
+            for profs in product(parts, repeat=k):
                 pt = ProfileTuple(N, profs)
                 cases += 1
                 if hurwitz_number(pt) != hurwitz_oracle(pt):
@@ -286,8 +294,6 @@ def _suite_weights(s: _Suite, G: WeightGen):
         trunc = [Fraction(1)]
         while abs(trunc[-1] * G.q) >= tail_cap:
             trunc.append(trunc[-1] * G.q)
-        from .weights import profile_multisets
-
         worst = Fraction(0)
         bad = cases = 0
         # d <= 4, so at most 4 profiles and 24 orderings each
@@ -315,10 +321,12 @@ def _suite_weights(s: _Suite, G: WeightGen):
 
 def _suite_tau(s: _Suite, G: WeightGen, nmax: int, order: int):
     table = tau_double_table(G, order, nmax)
-    bad = cases = 0
+    bad = cases = bad_d0 = 0
     for n in range(nmax + 1):
         for mu in enumerate_partitions(n):
             for nu in enumerate_partitions(n):
+                if extract_H(table, 0, mu, nu) != Fraction(mu == nu, z_of(mu)):
+                    bad_d0 += 1
                 if G.kind == "quantum" and nu != identity_cycle_type(n):
                     continue
                 for d in range(order + 1):
@@ -337,14 +345,7 @@ def _suite_tau(s: _Suite, G: WeightGen, nmax: int, order: int):
         if v != extract_H(table, d, mu, identity_cycle_type(weight(mu)))
     )
     s.check("single series = double series at identity profile", bad == 0)
-    bad = 0
-    for n in range(nmax + 1):
-        for mu in enumerate_partitions(n):
-            for nu in enumerate_partitions(n):
-                expected = Fraction(int(mu == nu), z_of(mu)) if mu == nu else Fraction(0)
-                if extract_H(table, 0, mu, nu) != expected:
-                    bad += 1
-    s.check("d=0 coefficients are delta_(mu,nu)/z_mu", bad == 0)
+    s.check("d=0 coefficients are delta_(mu,nu)/z_mu", bad_d0 == 0)
     bad = sum(
         1
         for (mu, nu, e), v in table.coeffs.items()
@@ -355,30 +356,21 @@ def _suite_tau(s: _Suite, G: WeightGen, nmax: int, order: int):
 
 def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int,
                     order: int, M: int | None):
-    from .errors import SingularParameterError
-
-    for k in range(2, kmax + 1):
-        try:
-            rep = analytic.check_recursion(G, beta, k, order, M)
-        except SingularParameterError as exc:
-            s.skip(f"recursion identity k={k}", f"unconstructible here ({exc})")
-            continue
-        note = f"orders 0..{rep.checked_order}"
-        if rep.capped:
-            note += f" (window capped: {rep.cap_reason})"
-        s.check(f"recursion identity k={k}", rep.ok, note)
-    for k in range(1, kmax + 1):
-        try:
-            rep = analytic.check_spectral(G, beta, k, order, M)
-        except SingularParameterError as exc:
-            s.skip(f"spectral identity k={k}", f"unconstructible here ({exc})")
-            continue
-        note = f"orders 0..{rep.checked_order}"
-        if rep.ode_checked:
-            note += ", cleared ODE form included"
-        if rep.capped:
-            note += f" (window capped: {rep.cap_reason})"
-        s.check(f"spectral identity k={k}", rep.ok, note)
+    for identity, check, kmin in (("recursion", analytic.check_recursion, 2),
+                                  ("spectral", analytic.check_spectral, 1)):
+        for k in range(kmin, kmax + 1):
+            name = f"{identity} identity k={k}"
+            try:
+                rep = check(G, beta, k, order, M)
+            except SingularParameterError as exc:
+                s.skip(name, f"unconstructible here ({exc})")
+                continue
+            note = f"orders 0..{rep.checked_order}"
+            if rep.ode_checked:
+                note += ", cleared ODE form included"
+            if rep.capped:
+                note += f" (window capped: {rep.cap_reason})"
+            s.check(name, rep.ok, note)
     if G.kind == "quantum":
         s.skip(
             "determinant representation",

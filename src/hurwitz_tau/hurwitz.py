@@ -20,6 +20,7 @@ from .partitions import (
     Partition,
     as_partition,
     colength,
+    cycle_type,
     enumerate_partitions,
     hook_product,
     weight,
@@ -94,21 +95,6 @@ def identity_perm(n: int) -> tuple[int, ...]:
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p o q)(i) = p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def cycle_type(p: tuple[int, ...]) -> Partition:
-    seen = [False] * len(p)
-    sizes = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, size = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            size += 1
-        sizes.append(size)
-    return tuple(sorted(sizes, reverse=True))
 
 
 @cache

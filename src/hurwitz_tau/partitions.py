@@ -8,6 +8,7 @@ in the package is byte-reproducible.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from math import factorial
 
@@ -37,6 +38,22 @@ def colength(mu: Partition) -> int:
 def identity_cycle_type(n: int) -> Partition:
     """Cycle type (1^n) of the identity permutation."""
     return (1,) * n
+
+
+def cycle_type(perm: tuple[int, ...]) -> Partition:
+    """Cycle lengths of a permutation of 0..n-1, given by its images."""
+    seen = [False] * len(perm)
+    sizes = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, size = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            size += 1
+        sizes.append(size)
+    return tuple(sorted(sizes, reverse=True))
 
 
 def multiplicities(mu: Partition) -> dict[int, int]:
@@ -91,24 +108,10 @@ def contents(lam: Partition) -> list[int]:
 def _partitions(n: int) -> tuple[Partition, ...]:
     if n == 0:
         return ((),)
-    out = []
-    cur = [n]
-    while True:
-        out.append(tuple(cur))
-        k = len(cur) - 1
-        while k >= 0 and cur[k] == 1:
-            k -= 1
-        if k < 0:
-            break
-        rem = len(cur) - k  # the trailing ones plus the unit shaved off cur[k]
-        cur[k] -= 1
-        cap = cur[k]
-        del cur[k + 1:]
-        while rem > 0:
-            take = min(cap, rem)
-            cur.append(take)
-            rem -= take
-    return tuple(out)
+    # largest part first, from n down, then the rest in their own order;
+    # n - first runs upwards, so each smaller n is cached before it is needed
+    return tuple((first,) + rest for first in range(n, 0, -1)
+                 for rest in _partitions(n - first) if not rest or rest[0] <= first)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -150,8 +153,12 @@ def parse_partition(text: str) -> Partition:
         return ()
     parts = []
     pos = 1
+    limit = sys.get_int_max_str_digits()
     for piece in body.split(","):
         item = piece.strip()
+        if item.isdecimal() and 0 < limit < len(item):
+            # int() refuses a run past the interpreter's int-from-str limit
+            fail(pos, f"more than {limit} digits")
         if not item.isdecimal() or int(item) <= 0:
             fail(pos, f"expected a positive integer, got {piece.strip()!r}")
         parts.append(int(item))

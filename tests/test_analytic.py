@@ -222,6 +222,19 @@ def test_calibration_negative_control(monkeypatch):
     assert err.value.code == "calibration-failed"
 
 
+def test_shared_prefactor_negative_control(monkeypatch):
+    # both determinant forms divide by the one prod_i rho_{-i}, so a wrong
+    # prefactor leaves them equal; the calibration compares against the direct
+    # series, which never calls rho, and must catch it
+    real = analytic._rho_prefactor
+    monkeypatch.setattr(analytic, "_rho_prefactor", lambda *args: 2 * real(*args))
+    xs = [F(1, 100), F(1, 200)]
+    assert tau_det_rep(GR, F(1, 7), xs, 12).value == tau_wronskian(GR, F(1, 7), xs, 12).value
+    with pytest.raises(SingularParameterError) as err:
+        calibrate_det_exponent(GR, F(1, 7), 2, 12, compare_deg=6)
+    assert err.value.code == "calibration-failed"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_wronskian_equals_det_rep(n):
     xs = [F(1, 100), F(1, 200), F(1, 300)][:n]

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations
@@ -241,6 +242,44 @@ def test_unicode_digits_are_usage_errors(capsys, argv, error):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv, error, pos", [
+    (["phi", "--beta", "9" * 5000 + "/3", "--k", "1"], "bad-rational", 4300),
+    (["hurwitz", "--n", "2", "--profiles", "[" + "9" * 5000 + "]"], "bad-partition", 1),
+], ids=["phi-beta", "hurwitz-profiles"])
+def test_digit_runs_past_int_limit_are_usage_errors(capsys, argv, error, pos):
+    # int() refuses more digits than sys.get_int_max_str_digits(); the parsers
+    # must refuse them first instead of leaving a ValueError traceback
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    assert payload["message"].endswith(
+        f"more than {sys.get_int_max_str_digits()} digits at position {pos}")
+
+
+def test_family_flags_outside_gen_are_usage_errors(capsys):
+    cases = [
+        (["weighted", "--c", "1", "--deg", "2", "--mu", "[2,1]"], "--c", "trivial"),
+        (["weighted", "--gen", "finite", "--c", "1", "--d", "1/3", "--deg", "2",
+          "--mu", "[2,1]"], "--d", "finite"),
+        (["weighted", "--gen", "quantum", "--q", "1/2", "--c", "5", "--deg", "2",
+          "--mu", "[2,1]"], "--c", "quantum"),
+        (["phi", "--gen", "rational", "--c", "1", "--beta", "1/5", "--k", "1",
+          "--m", "7"], "--m", "rational"),
+    ]
+    for argv, flag, kind in cases:
+        code = run(argv)
+        out, err = capture(capsys)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {"error": "unused-flag",
+                                   "message": f"{flag} is not a parameter of --gen {kind}"}
+    # an empty value is no value
+    assert run(["weighted", "--c", "", "--deg", "2", "--mu", "[2,1]"]) == 0
+    assert '"gen": "trivial"' in capture(capsys)[0]
 
 
 def test_phi_negative_quantum_truncation(capsys):

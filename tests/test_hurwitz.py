@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -8,14 +8,13 @@ from hurwitz_tau.hurwitz import (
     ProfileTuple,
     compose,
     conjugacy_classes,
-    cycle_type,
     hurwitz_number,
     hurwitz_oracle,
     identity_perm,
     riemann_hurwitz,
 )
-from hurwitz_tau.characters import _character
-from hurwitz_tau.partitions import enumerate_partitions, hook_product, z_of
+from hurwitz_tau.characters import _character, _perm_sign
+from hurwitz_tau.partitions import cycle_type, enumerate_partitions, hook_product, z_of
 
 
 def test_pinned_values():
@@ -93,6 +92,11 @@ def test_permutation_helpers():
     classes = conjugacy_classes(4)
     assert sum(len(v) for v in classes.values()) == 24
     assert len(classes[(2, 1, 1)]) == 6
+    # the bialternant oracle's sign, from the cycle type, against inversions
+    for n in range(8):
+        for p in permutations(range(n)):
+            inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            assert _perm_sign(p) == (-1) ** inversions, p
 
 
 def fraction_character_sum(pt):

@@ -50,7 +50,7 @@ def test_enumeration_order_and_basics():
     ]
     assert len(enumerate_partitions(6)) == 11
     # reverse-lexicographic: every partition sorts after its successor
-    for n in range(1, 12):
+    for n in range(1, 26):
         parts = enumerate_partitions(n)
         assert all(parts[i] > parts[i + 1] for i in range(len(parts) - 1))
         assert parts[0] == (n,)
