@@ -323,7 +323,7 @@ class DetRepValue:
     beta_exponent: int
 
 
-def _det_inputs(G, beta, X, J, M):
+def _det_inputs(X, J):
     xs = [Fraction(x) for x in X]
     n = len(xs)
     if n == 0:
@@ -367,7 +367,7 @@ def tau_det_rep(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRepVa
     calibrated beta exponent is applied and reported.
     """
     beta = Fraction(beta)
-    xs, n = _det_inputs(G, beta, X, J, M)
+    xs, n = _det_inputs(X, J)
     phis = [phi_k(G, beta, i, J - n + i, M) for i in range(1, n + 1)]
     return _det_form(G, beta, xs, phis, Fraction(1), M)
 
@@ -380,7 +380,7 @@ def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRep
     reduction from phi_1..phi_n to Euler derivatives of phi_n.
     """
     beta = Fraction(beta)
-    xs, n = _det_inputs(G, beta, X, J, M)
+    xs, n = _det_inputs(X, J)
     rows = [phi_k(G, beta, n, J, M)]
     for _ in range(n - 1):
         rows.append(euler_apply(rows[-1]))

@@ -20,7 +20,7 @@ from math import factorial
 
 from . import analytic
 from .algebra import format_rational, parse_rational
-from .errors import HurwitzTauError, SingularParameterError, UsageError
+from .errors import HurwitzTauError, ScaleGuardError, SingularParameterError, UsageError
 from .hurwitz import ProfileTuple, hurwitz_number, hurwitz_oracle, riemann_hurwitz
 from .characters import character_table
 from .partitions import (
@@ -247,6 +247,9 @@ class _Suite:
 
 
 def _suite_hurwitz(s: _Suite, nmax: int):
+    if nmax < 2:
+        s.skip("character sum = factorization oracle",
+               f"no sheet count N in the empty range 2..{nmax}")
     for N in range(2, nmax + 1):
         parts = enumerate_partitions(N)
         bad = 0
@@ -284,15 +287,25 @@ def _quantum_prefix_sums(q: Fraction, profiles) -> Fraction:
     return (-1) ** (sum(exps) - k) * total / factorial(k)
 
 
+_QUANTUM_CUT_MAX = 1024
+
+
 def _suite_weights(s: _Suite, G: WeightGen):
     if G.kind == "quantum":
         # Cut at c_i = q^i, i < T, the dual factor of k <= 4 profiles loses its
         # non-decreasing index chains that reach T: at most |q|^T / (1 - |q|)^k.
         # T is the least with that below 2^-56, 2^16 under the 2^-40 bound, so
         # the check sees the closed form, not the cut; T = 61 at |q| = 1/2.
+        # T and the bit size of every q^i grow together as |q| -> 1, so the
+        # cut stops at _QUANTUM_CUT_MAX terms (T = 991 at 19/20).
         tail_cap = Fraction(1, 2 ** 56) * (1 - abs(G.q)) ** 4
         trunc = [Fraction(1)]
         while abs(trunc[-1] * G.q) >= tail_cap:
+            if len(trunc) == _QUANTUM_CUT_MAX:
+                raise ScaleGuardError(
+                    f"quantum tail check is capped at {_QUANTUM_CUT_MAX} terms of "
+                    f"the cut; q={G.q} needs more"
+                )
             trunc.append(trunc[-1] * G.q)
         worst = Fraction(0)
         bad = cases = 0

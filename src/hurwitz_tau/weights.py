@@ -171,6 +171,20 @@ def _weight_sum(profiles, power_sum) -> Fraction:
     return Fraction(over(exps), factorial(len(exps)))
 
 
+def rational_weight_factor(c, d, profiles) -> Fraction:
+    """Weight of a profile tuple for G = prod (1 + c_l z) / prod (1 - d_m z).
+
+    The sum over injective maps from the profiles into the c parameters and
+    the dual d parameters, with power sums P(m) = sum c_l^m - sum (-d_m)^m;
+    so it equals the sum over splits of the profiles of the strict factor
+    of the c's times the dual factor of the d's.
+    """
+    c = tuple(Fraction(x) for x in c)
+    d = tuple(Fraction(x) for x in d)
+    return _weight_sum(profiles,
+                       lambda m: sum(x ** m for x in c) - sum((-x) ** m for x in d))
+
+
 def weight_factor(c, profiles) -> Fraction:
     """Symmetrized strictly-increasing index sum over the c parameters.
 
@@ -179,8 +193,7 @@ def weight_factor(c, profiles) -> Fraction:
     |Aut lambda| / k!; vanishes when the parameter list is shorter than the
     number of profiles.
     """
-    c = tuple(Fraction(x) for x in c)
-    return _weight_sum(profiles, lambda m: sum(x ** m for x in c))
+    return rational_weight_factor(c, (), profiles)
 
 
 def weight_factor_tilde(c, profiles) -> Fraction:
@@ -190,8 +203,7 @@ def weight_factor_tilde(c, profiles) -> Fraction:
     sign (-1)^(d+k) and the non-strict chains both come out of the flipped
     power sums.
     """
-    c = tuple(Fraction(x) for x in c)
-    return _weight_sum(profiles, lambda m: -sum((-x) ** m for x in c))
+    return rational_weight_factor((), c, profiles)
 
 
 def quantum_weight_factor(q, profiles) -> Fraction:
@@ -213,21 +225,6 @@ def quantum_weight_factor(q, profiles) -> Fraction:
         return (-1) ** (m - 1) / den
 
     return _weight_sum(profiles, power_sum)
-
-
-def rational_weight_factor(c, d, mu_profiles, nu_profiles) -> Fraction:
-    """Weight of a split profile tuple for a ratio-type generating function.
-
-    The c-parameters weight the first block through strict index chains,
-    the d-parameters weight the second through non-strict chains with the
-    alternating sign; either block may be empty (empty block = factor 1).
-    """
-    if len(mu_profiles) + len(nu_profiles) < 1:
-        raise UsageError("rational weight factor needs at least one profile",
-                         code="empty-profiles")
-    first = weight_factor(c, mu_profiles) if mu_profiles else Fraction(1)
-    second = weight_factor_tilde(d, nu_profiles) if nu_profiles else Fraction(1)
-    return first * second
 
 
 def _arrangements(multiset: tuple[Partition, ...]) -> int:
@@ -266,7 +263,9 @@ def profile_multisets(N: int, total_colength: int) -> list[tuple[tuple[Partition
 
 @dataclass(frozen=True)
 class WeightedTerm:
-    """One multiset's contribution to a weighted Hurwitz number."""
+    """One multiset's contribution to a weighted Hurwitz number.
+
+    The profiles are ``mu_block``; ``nu_block`` is always empty."""
 
     mu_block: tuple[Partition, ...]
     nu_block: tuple[Partition, ...]
@@ -306,7 +305,8 @@ def _checked_query(G: WeightGen, d: int, mu, nu) -> tuple[Partition, Partition, 
 
 
 def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
-    """All contributing profile configurations for H^d_G(mu, nu).
+    """All contributing profile configurations for H^d_G(mu, nu), one per
+    multiset of profiles of total colength d with a nonzero weight.
 
     At an odd total colength each base count is 0 by parity and is not summed.
     """
@@ -322,20 +322,11 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
         return [WeightedTerm((), (), 1, Fraction(1), count(()))]
 
     terms: list[WeightedTerm] = []
-    # colength dc goes to the c-block, d - dc to the d-block; without d
-    # parameters every nonempty d-block weighs 0, so only dc = d is run
-    for dc in range(0 if G.d else d, d + 1):
-        mu_blocks = profile_multisets(N, dc) if dc else [((), 1)]
-        nu_blocks = profile_multisets(N, d - dc) if d - dc else [((), 1)]
-        for mu_block, arr_a in mu_blocks:
-            for nu_block, arr_b in nu_blocks:
-                if not mu_block and not nu_block:
-                    continue
-                w = (quantum_weight_factor(G.q, mu_block) if G.q is not None
-                     else rational_weight_factor(G.c, G.d, mu_block, nu_block))
-                if w:
-                    terms.append(WeightedTerm(mu_block, nu_block, arr_a * arr_b, w,
-                                              count(mu_block + nu_block)))
+    for profiles, arr in profile_multisets(N, d):
+        w = (quantum_weight_factor(G.q, profiles) if G.q is not None
+             else rational_weight_factor(G.c, G.d, profiles))
+        if w:
+            terms.append(WeightedTerm(profiles, (), arr, w, count(profiles)))
     return terms
 
 

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations
@@ -452,3 +453,43 @@ def test_verify_weights_tail_passes_for_larger_q(capsys, q):
     assert run(["verify", "--suite", "weights", "--gen", "quantum", f"--q={q}", "--m", "40"]) == 0
     out, _ = capture(capsys)
     assert out.startswith("PASS quantum closed form vs truncated dual weight factor")
+
+
+def test_verify_weights_quantum_cut_budget(capsys):
+    # q = 99/100 needs a 5696-term cut; the check stops building it at 1024
+    start = time.perf_counter()
+    code = run(["verify", "--suite", "weights", "--gen", "quantum", "--q=99/100", "--m", "40"])
+    elapsed = time.perf_counter() - start
+    out, err = capture(capsys)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "scale-guard"
+    assert "1024 terms" in payload["message"]
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_verify_hurwitz_empty_range_skips(capsys, n):
+    assert run(["verify", "--suite", "hurwitz", "--n", str(n)]) == 0
+    out, _ = capture(capsys)
+    assert out == ("SKIP character sum = factorization oracle: "
+                   f"no sheet count N in the empty range 2..{n}\nALL CHECKS PASSED\n")
+
+
+def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch):
+    # the series route builds G from series products, the direct route from
+    # the power sums; a wrong sign on the d power sum must show as FAIL
+    argv = ["verify", "--suite", "tau", "--gen", "rational", "--c", "1", "--d=1/3"]
+    assert run(argv) == 0
+    capture(capsys)
+
+    def flipped(c, d, profiles):
+        return weights._weight_sum(
+            profiles, lambda m: sum(F(x) ** m for x in c) + sum((-F(x)) ** m for x in d))
+
+    monkeypatch.setattr(weights, "rational_weight_factor", flipped)
+    code = run(argv)
+    out, _ = capture(capsys)
+    assert code == 1
+    assert out.startswith("FAIL series coefficients = direct weighted counts")

@@ -3,6 +3,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_tau.errors import SingularParameterError, UsageError
 from hurwitz_tau.hurwitz import ProfileTuple, hurwitz_number
@@ -197,13 +199,52 @@ def test_weight_factors_with_eight_profiles():
         assert quantum_weight_factor(q, profiles) == g_coeffs(WeightGen.quantum(q), 8)[8]
 
 
+def split_weight(c, d, mu_profs, nu_profs):
+    """The c-block strict factor times the d-block dual factor; empty block = 1."""
+    first = weight_factor(c, mu_profs) if mu_profs else F(1)
+    second = weight_factor_tilde(d, nu_profs) if nu_profs else F(1)
+    return first * second
+
+
 def test_rational_weight_factor():
     c, d = [F(1)], [F(1, 2)]
-    assert rational_weight_factor(c, d, ((2,), (2,)), ()) == weight_factor(c, ((2,), (2,)))
-    assert rational_weight_factor(c, d, (), ((2,),)) == F(1, 2)
-    assert rational_weight_factor(c, d, ((2,),), ((2,),)) == F(1, 2)
+    assert rational_weight_factor(c, (), ((2,), (2,))) == weight_factor(c, ((2,), (2,)))
+    assert rational_weight_factor((), d, ((2,),)) == F(1, 2)
+    # two colength-1 profiles: both to c (0, one c), both to d, or one each
+    both = ((2,), (2,))
+    assert rational_weight_factor(c, d, both) == (
+        split_weight(c, d, both, ()) + split_weight(c, d, (), both)
+        + split_weight(c, d, ((2,),), ((2,),))) == 0 + F(1, 4) + F(1, 2)
     with pytest.raises(UsageError):
-        rational_weight_factor(c, d, (), ())
+        rational_weight_factor(c, d, ())
+
+
+def split_sum(c, d, profiles):
+    """Sum over sub-multisets A of the profiles, B the rest, of arr(A) arr(B)
+    times the split weight; arr counts distinct orderings."""
+    k = len(profiles)
+    splits = set()
+    for size in range(k + 1):
+        for idx in combinations(range(k), size):
+            a = tuple(profiles[i] for i in idx)
+            b = tuple(profiles[i] for i in range(k) if i not in idx)
+            splits.add((a, b))
+    return sum((len(set(permutations(a))) * len(set(permutations(b)))
+                * split_weight(c, d, a, b) for a, b in splits), F(0))
+
+
+params = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=st.lists(params, max_size=3),
+       d=st.lists(params.filter(bool), min_size=1, max_size=3))
+def test_rational_weight_is_the_split_sum(c, d):
+    for N in range(1, 5):
+        for deg in range(1, 5):
+            for profiles, arr in profile_multisets(N, deg):
+                assert arr * rational_weight_factor(c, d, profiles) == split_sum(
+                    c, d, profiles), (c, d, profiles)
 
 
 def test_profile_multisets():
@@ -250,7 +291,7 @@ def ordered_reference_weighted_rational(G, d, mu, nu):
                     )
                     if cl != d:
                         continue
-                    w = rational_weight_factor(G.c, G.d, mu_profs, nu_profs)
+                    w = split_weight(G.c, G.d, mu_profs, nu_profs)
                     if w:
                         total += w * hurwitz_number(
                             ProfileTuple(N, mu_profs + nu_profs + (mu, nu))
