@@ -441,7 +441,7 @@ def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
     never evaluated at a content that only longer diagrams have.
     """
     beta = Fraction(beta)
-    r = _content_products(lambda c: eval_weight_gen(G, c * beta), Fraction(1),
+    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1),
                           partitions_up_to(max_deg, n))
     return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 

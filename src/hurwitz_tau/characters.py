@@ -33,14 +33,16 @@ def _beta_set(lam: Partition) -> tuple[int, ...]:
     return tuple(lam[i] + L - 1 - i for i in range(L))
 
 
-def _strip_removals(lam: Partition, r: int):
-    """Yield (smaller_partition, height) for each border strip of size r.
+@cache
+def _strip_removals(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """(smaller_partition, (-1)^height) for each border strip of size r.
 
     Removing a strip of size r moves one beta number down by r onto a free
     slot; the strip height is the number of beta numbers jumped over.
     """
     beta = set(_beta_set(lam))
     L = len(lam)
+    moves = []
     for b in sorted(beta, reverse=True):
         nb = b - r
         if nb < 0 or nb in beta:
@@ -48,17 +50,16 @@ def _strip_removals(lam: Partition, r: int):
         height = sum(1 for x in beta if nb < x < b)
         new_beta = sorted((beta - {b}) | {nb}, reverse=True)
         new_lam = tuple(x - (L - 1 - i) for i, x in enumerate(new_beta))
-        yield tuple(p for p in new_lam if p > 0), height
+        moves.append((tuple(p for p in new_lam if p > 0), -1 if height % 2 else 1))
+    return tuple(moves)
 
 
 @cache
 def _character(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    total = 0
-    for smaller, height in _strip_removals(lam, mu[0]):
-        total += (-1) ** height * _character(smaller, mu[1:])
-    return total
+    return sum(sign * _character(smaller, mu[1:])
+               for smaller, sign in _strip_removals(lam, mu[0]))
 
 
 def character(lam, mu) -> int:

@@ -44,11 +44,12 @@ def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
     return series
 
 
-def _content_products(factor, one, shapes) -> dict:
-    """prod_{cells} factor(content) for every lambda in shapes; () gives ``one``.
+def _content_products(extend, one, shapes) -> dict:
+    """Content product of every lambda in shapes, one cell at a time; () gives ``one``.
 
-    Each product extends that of lambda without the last cell of its last
-    row, whose content is lambda_l - l, so shapes must list that one first.
+    lambda's product is ``extend(prev, c)``: prev is the product of lambda
+    without the last cell of its last row, c = lambda_l - l that cell's
+    content, so shapes must list the smaller diagram first.
     """
     r = {}
     for lam in shapes:
@@ -56,8 +57,40 @@ def _content_products(factor, one, shapes) -> dict:
             r[lam] = one
             continue
         parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
-        r[lam] = r[parent] * factor(lam[-1] - len(lam))
+        r[lam] = extend(r[parent], lam[-1] - len(lam))
     return r
+
+
+def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
+    """Content products of every |lambda| <= Nmax as ints over one
+    denominator per beta-degree: r_lambda(G, lambda, D).coeffs[d] equals
+    A[lambda][d] / B[d].
+
+    With b_m the denominator of g_m, B_0 = 1 and B_d = lcm_m b_m B_{d-m},
+    the lcm over partitions of d of the products of their b_m.  So B_i B_m
+    divides B_{i+m}, and a product moves to degree i + m with the integer
+    factor B_{i+m} / (B_i B_m).
+    """
+    gs = g_coeffs(G, D)
+    B = [1]
+    for d in range(1, D + 1):
+        B.append(lcm(*(gs[m].denominator * B[d - m] for m in range(1, d + 1))))
+    g = [gm.numerator * (B[m] // gm.denominator) for m, gm in enumerate(gs)]
+    steps: dict[int, list[list[int]]] = {}
+
+    def extend(A: list[int], c: int) -> list[int]:
+        if c not in steps:
+            # steps[c][i][m] carries A[i] to degree i + m
+            steps[c] = [[g[m] * c ** m * (B[i + m] // (B[i] * B[m])) for m in range(D + 1 - i)]
+                        for i in range(D + 1)]
+        C = [0] * (D + 1)
+        for i, (a, row) in enumerate(zip(A, steps[c])):
+            if a:
+                for k, f in enumerate(row, i):
+                    C[k] += a * f
+        return C
+
+    return _content_products(extend, [1] + [0] * D, partitions_up_to(Nmax)), B
 
 
 def _cleared(values) -> tuple[list[int], int]:
@@ -144,18 +177,17 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     """Expand the double Schur series through weight Nmax and beta-order D."""
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    r = _content_products(lambda c: _content_series(G, c, D), BetaSeries.one(D),
-                          partitions_up_to(Nmax))
+    A, B = _integer_ladder(G, D, Nmax)
     coeffs: dict = {}
     for n in range(Nmax + 1):
         rows = character_table(n)
-        # entry (mu, nu, n + d) = sum_lam a_lam chi_lam(mu) chi_lam(nu) / (L z_mu z_nu)
-        cleared = [_cleared([r[lam].coeffs[d] for lam, _, _ in rows]) for d in range(D + 1)]
+        # entry (mu, nu, n + d) = sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) / (B_d z_mu z_nu)
+        cols = [[A[lam][d] for lam, _, _ in rows] for d in range(D + 1)]
         for mu, chi, zm in rows:
             totals = [powersum_numerators([a * c for a, c in zip(ints, chi)], rows)
-                      for ints, _ in cleared]
+                      for ints in cols]
             for k, (nu, _, zn) in enumerate(rows):
-                for d, (_, L) in enumerate(cleared):
+                for d, L in enumerate(B):
                     if totals[d][k]:
                         coeffs[(mu, nu, n + d)] = Fraction(totals[d][k], L * zm * zn)
     return TauTable(G, D, Nmax, coeffs)
@@ -191,21 +223,18 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    r = _content_products(lambda c: _content_series(G, c, D), BetaSeries.one(D),
-                          partitions_up_to(Nmax))
+    A, B = _integer_ladder(G, D, Nmax)
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
         rows = character_table(n)
         h = [hook_product(lam) for lam, _, _ in rows]
-        # entry (mu, d) = sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r[d] / h
-        cleared = [
-            _cleared([r[lam].coeffs[d] / hl for (lam, _, _), hl in zip(rows, h)])
-            for d in range(D + 1)
-        ]
-        totals = [powersum_numerators(b, rows) for b, _ in cleared]
+        H = lcm(*h)
+        # entry (mu, d) = sum_lam A_lam[d] (H / h_lam) chi_lam(mu) / (B_d H z_mu)
+        totals = [powersum_numerators([A[lam][d] * (H // hl) for (lam, _, _), hl in zip(rows, h)],
+                                      rows) for d in range(D + 1)]
         for k, (mu, _, zm) in enumerate(rows):
-            for d, (_, L) in enumerate(cleared):
-                out[(mu, d)] = Fraction(totals[d][k], L * zm)
+            for d, L in enumerate(B):
+                out[(mu, d)] = Fraction(totals[d][k], L * H * zm)
     return out
 
 
@@ -224,7 +253,7 @@ def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
     beta = Fraction(beta)
     xs = [Fraction(x) for x in X]
     power = {j: sum(x ** j for x in xs) for j in range(1, Nmax + 1)}
-    r = _content_products(lambda c: eval_weight_gen(G, c * beta), Fraction(1),
+    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1),
                           partitions_up_to(Nmax))
     total = Fraction(1)  # empty diagram contributes 1
     for n in range(1, Nmax + 1):

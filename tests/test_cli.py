@@ -477,6 +477,19 @@ def test_verify_hurwitz_empty_range_skips(capsys, n):
                    f"no sheet count N in the empty range 2..{n}\nALL CHECKS PASSED\n")
 
 
+@pytest.mark.parametrize("kmax", [1, 0, -3])
+def test_verify_analytic_empty_range_skips(capsys, kmax):
+    assert run(["verify", "--suite", "analytic", "--kmax", str(kmax)]) == 0
+    lines = capture(capsys)[0].splitlines()
+    skips = [f"SKIP recursion identity: no k in the empty range 2..{kmax}"]
+    if kmax < 1:
+        skips.append(f"SKIP spectral identity: no k in the empty range 1..{kmax}")
+    assert lines[:len(skips)] == skips
+    # the spectral k = 1 check still runs when only the recursion range is empty
+    assert ("PASS spectral identity k=1" in "\n".join(lines)) == (kmax == 1)
+    assert lines[-1] == "ALL CHECKS PASSED"
+
+
 def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch):
     # the series route builds G from series products, the direct route from
     # the power sums; a wrong sign on the d power sum must show as FAIL

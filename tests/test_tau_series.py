@@ -13,12 +13,11 @@ from hurwitz_tau.partitions import (
     enumerate_partitions,
     hook_product,
     identity_cycle_type,
-    partitions_up_to,
     z_of,
 )
 from hurwitz_tau.tau_series import (
-    _content_products,
     _content_series,
+    _integer_ladder,
     extract_H,
     r_lambda,
     rho,
@@ -27,7 +26,7 @@ from hurwitz_tau.tau_series import (
     tau_eval_at_matrix,
     tau_single_table,
 )
-from hurwitz_tau.weights import WeightGen, eval_weight_gen, weighted_hurwitz
+from hurwitz_tau.weights import WeightGen, eval_weight_gen, g_coeffs, weighted_hurwitz
 
 G1 = WeightGen.rational([1], [])          # 1 + z
 GR = WeightGen.rational([1], [F(1, 3)])
@@ -255,6 +254,11 @@ KERNEL_GENS = (
     GR,
     GQ,
     WeightGen.rational([-1], [F(-1, 3)]),  # GR reflected, z -> -z
+    # the integer ladder's step factor B_{i+m} / (B_i B_m) is not always 1
+    # for these three; B_2 / B_1^2 = 3 at q = -7/10
+    WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]),
+    WeightGen.quantum(F(-1, 2)),
+    WeightGen.quantum(F(-7, 10)),
 )
 
 
@@ -299,13 +303,29 @@ def test_integer_kernels_match_fraction_sum(G):
 
 
 def test_content_product_ladder_matches_r_lambda():
-    for G in (GR, GQ, WeightGen.finite_product([F(1), F(1, 2), F(-1, 3)])):
-        ladder = _content_products(lambda c: _content_series(G, c, 8), BetaSeries.one(8),
-                                   partitions_up_to(8))
-        expected = [lam for n in range(9) for lam in enumerate_partitions(n)]
-        assert list(ladder) == expected
+    expected = [lam for n in range(9) for lam in enumerate_partitions(n)]
+    for G in KERNEL_GENS:
+        A, B = _integer_ladder(G, 8, 8)
+        for i in range(9):
+            for j in range(9 - i):
+                assert B[i + j] % (B[i] * B[j]) == 0, (G.describe(), i, j)
+        assert list(A) == expected
         for lam in expected:
-            assert ladder[lam] == r_lambda(G, lam, 8), (G.describe(), lam)
+            assert ([F(a, b) for a, b in zip(A[lam], B)]
+                    == list(r_lambda(G, lam, 8).coeffs)), (G.describe(), lam)
+
+
+def test_tables_build_no_series_products(monkeypatch):
+    # the ladder runs on ints; only g_coeffs multiplies series
+    gs = g_coeffs(GR, 4)
+    monkeypatch.setattr(tau_series, "g_coeffs", lambda G, D: gs)
+
+    def refuse(self, other):
+        raise AssertionError("BetaSeries product in a table build")
+
+    monkeypatch.setattr(BetaSeries, "__mul__", refuse)
+    tau_double_table(GR, 4, 6)
+    tau_single_table(GR, 4, 6)
 
 
 def test_verify_tau_negative_control(monkeypatch, capsys):
@@ -315,16 +335,13 @@ def test_verify_tau_negative_control(monkeypatch, capsys):
     assert run(argv) == 0
     assert f"PASS {name}" in capsys.readouterr().out
 
-    def shifted(G, content, D):
-        # one beta coefficient of the content-1 series moves by 2^-50
-        series = _content_series(G, content, D)
-        if content != 1:
-            return series
-        cs = list(series.coeffs)
-        cs[1] += F(1, 2 ** 50)
-        return BetaSeries(cs)
+    def shifted(G, D):
+        # g_1, which every content factor of the tables' ladder reads, moves by 2^-50
+        gs = list(g_coeffs(G, D))
+        gs[1] += F(1, 2 ** 50)
+        return tuple(gs)
 
-    monkeypatch.setattr(tau_series, "_content_series", shifted)
+    monkeypatch.setattr(tau_series, "g_coeffs", shifted)
     assert run(argv) == 1
     assert f"FAIL {name}" in capsys.readouterr().out
 
