@@ -149,17 +149,24 @@ def _identity_report(identity: str, k: int, beta: Fraction, J: int, checked: int
     )
 
 
+def _difference(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, compared first: a residual is almost always 0, and two reduced
+    fractions compare in linear time where subtracting them costs a gcd."""
+    return Fraction(0) if a == b else a - b
+
+
 def recursion_residuals(phi_km1: PhiSeries, phi_kk: PhiSeries) -> list[Fraction]:
-    """Coefficients of beta (D + k - 1) phi_k - phi_{k-1} on shared powers."""
+    """Coefficients of beta (D + k - 1) phi_k - phi_{k-1} on shared powers.
+
+    D acts on x^m as m, so the left side's x^m coefficient is
+    beta (m + k - 1) c_m.
+    """
     k = phi_kk.k
     beta = phi_kk.beta
-    lhs = euler_apply(phi_kk)
-    out = []
     top = min(phi_kk.lead_exp + phi_kk.order, phi_km1.lead_exp + phi_km1.order)
-    for m in range(phi_kk.lead_exp, top + 1):
-        left = beta * (lhs.power_coeff(m) + (k - 1) * phi_kk.power_coeff(m))
-        out.append(left - phi_km1.power_coeff(m))
-    return out
+    return [_difference(beta * (m + k - 1) * phi_kk.power_coeff(m),
+                        phi_km1.power_coeff(m))
+            for m in range(phi_kk.lead_exp, top + 1)]
 
 
 def check_recursion(G: WeightGen, beta, k: int, J: int,
@@ -190,13 +197,11 @@ def spectral_residuals(p: PhiSeries, G: WeightGen,
     Raises if G must be evaluated at one of its poles.
     """
     k, beta = p.k, p.beta
-    out = []
-    for j in range(p.order + 1):
+    out = [-(p.lead_exp + k - 1) * p.coeff(0)]
+    for j in range(1, p.order + 1):
         s = p.lead_exp + j
-        val = -(s + k - 1) * p.coeff(j)
-        if j > 0:
-            val += p.coeff(j - 1) * eval_weight_gen(G, beta * (s - 1), M)
-        out.append(val)
+        out.append(_difference(p.coeff(j - 1) * eval_weight_gen(G, beta * (s - 1), M),
+                               (s + k - 1) * p.coeff(j)))
     return out
 
 
@@ -232,13 +237,13 @@ def ode_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
         second = (s + k - 1) * p.coeff(j)
         for dm in G.d:
             second *= s - 1 - 1 / (beta * dm)
-        val = second
-        if j > 0:
-            first = -kappa * p.coeff(j - 1)
-            for cl in G.c:
-                first *= s - 1 + 1 / (beta * cl)
-            val += first
-        out.append(val)
+        if j == 0:
+            out.append(second)
+            continue
+        first = kappa * p.coeff(j - 1)
+        for cl in G.c:
+            first *= s - 1 + 1 / (beta * cl)
+        out.append(_difference(second, first))
     return out
 
 
@@ -397,12 +402,13 @@ def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRep
 # parts, so they compare coefficient by coefficient.
 
 def _literal_minors(G: WeightGen, beta, n: int, J: int,
-                    M: int | None = None) -> dict:
+                    M: int | None = None, max_deg: int | None = None) -> dict:
     """Schur coefficients of the literal (beta^0) determinant formula.
 
     The coefficient of s_lambda is det[c_i(lambda_j + n - 1 - j)] over the
     rho_{-i} prefactor, c_i(m) being the x^m coefficient of x^(n-1) phi_i;
-    every |lambda| <= 1 - n + J is exact.
+    every |lambda| <= 1 - n + J is exact.  With ``max_deg`` only the
+    minors of |lambda| <= max_deg are taken; the rows are still built to J.
     """
     beta = Fraction(beta)
     if n < 1:
@@ -411,8 +417,9 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int,
         raise UsageError(f"series order {J} too small for n = {n}", code="bad-order")
     phis = [phi_k(G, beta, i, J - n + i, M) for i in range(1, n + 1)]
     pref = _rho_prefactor(G, beta, n, M)
+    top = 1 - n + J if max_deg is None else min(max_deg, 1 - n + J)
     out = {}
-    for lam in partitions_up_to(1 - n + J, n):
+    for lam in partitions_up_to(top, n):
         parts = lam + (0,) * (n - len(lam))
         # c_i(m) is the coefficient of x^(m - n + 1) in phi_i
         minor = exact_det([[p.power_coeff(parts[j] - j) for j in range(n)]
@@ -465,7 +472,8 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int,
             f"comparison degree {compare_deg} exceeds the guaranteed degree {1 - n + J}",
             code="bad-order",
         )
-    literal = _literal_minors(G, beta, n, J, M)
+    # the constant term is read even when compare_deg < 0
+    literal = _literal_minors(G, beta, n, J, M, max(compare_deg, 0))
     direct = tau_direct_polynomial(G, beta, n, compare_deg)
     const = ()
     base = literal.get(const)

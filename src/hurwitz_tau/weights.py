@@ -125,18 +125,23 @@ def eval_weight_gen(G: WeightGen, x: Fraction, M: int | None = None) -> Fraction
     if M < 0:
         raise UsageError(f"quantum product truncation M must be >= 0, got {M}",
                          code="bad-truncation")
-    val = Fraction(1)
-    qpow = Fraction(1)
+    # with q = a/b and x = u/v, factor i is b^i v / (b^i v - a^i u): build
+    # both products on ints and reduce once
+    a, b = G.q.numerator, G.q.denominator
+    u, v = x.numerator, x.denominator
+    den = 1
+    ai, biv = 1, v
     for i in range(M + 1):
-        den = 1 - qpow * x
-        if den == 0:
+        factor = biv - ai * u
+        if factor == 0:
             raise SingularParameterError(
                 f"pole of quantum weight function: 1 - q^{i}*({x}) = 0",
                 code="weight-gen-pole",
             )
-        val /= den
-        qpow *= G.q
-    return val
+        den *= factor
+        ai *= a
+        biv *= b
+    return Fraction(b ** (M * (M + 1) // 2) * v ** (M + 1), den)
 
 
 def _weight_sum(profiles, power_sum) -> Fraction:

@@ -24,7 +24,7 @@ from hurwitz_tau.analytic import (
 )
 from hurwitz_tau.errors import SingularInputError, SingularParameterError, UsageError
 from hurwitz_tau.tau_series import tau_eval_at_matrix
-from hurwitz_tau.weights import WeightGen
+from hurwitz_tau.weights import WeightGen, eval_weight_gen
 from rho_windows import predicted_window
 
 GT = WeightGen.trivial()
@@ -277,3 +277,95 @@ def test_identities_at_non_unit_fraction_beta():
     for k in (2, 5):
         assert check_recursion(G, F(2, 13), k, 18).ok
         assert check_spectral(G, F(2, 13), k, 18).ok
+
+
+def recursion_by_subtraction(prev, cur):
+    """beta (D + k - 1) phi_k - phi_{k-1}, through euler_apply and a full subtraction."""
+    lhs = euler_apply(cur)
+    top = min(cur.lead_exp + cur.order, prev.lead_exp + prev.order)
+    return [cur.beta * (lhs.power_coeff(m) + (cur.k - 1) * cur.power_coeff(m))
+            - prev.power_coeff(m) for m in range(cur.lead_exp, top + 1)]
+
+
+def spectral_by_subtraction(p, G, M):
+    out = []
+    for j in range(p.order + 1):
+        s = p.lead_exp + j
+        val = -(s + p.k - 1) * p.coeff(j)
+        if j > 0:
+            val += p.coeff(j - 1) * eval_weight_gen(G, p.beta * (s - 1), M)
+        out.append(val)
+    return out
+
+
+def ode_by_subtraction(p, G):
+    kappa = analytic._kappa(G, p.beta)
+    out = []
+    for j in range(p.order + 1):
+        s = p.lead_exp + j
+        val = (s + p.k - 1) * p.coeff(j)
+        for dm in G.d:
+            val *= s - 1 - 1 / (p.beta * dm)
+        if j > 0:
+            first = -kappa * p.coeff(j - 1)
+            for cl in G.c:
+                first *= s - 1 + 1 / (p.beta * cl)
+            val += first
+        out.append(val)
+    return out
+
+
+@pytest.mark.parametrize("G, beta, M", [(GR, F(1, 8), None),
+                                        (WeightGen.quantum(F(-1, 2)), F(1, 23), 40)])
+def test_compare_first_residuals_equal_subtraction(G, beta, M):
+    # residuals compare before they subtract; the lists must equal the plain
+    # differences, on valid series and on series with one coefficient off
+    eps = F(1, 2 ** 50)
+    nonzero = 0
+    for k in range(1, 7):
+        p = phi_k(G, beta, k, max_regular_order(G, beta, k, 24, M)[0], M)
+        variants = [p] + [p.with_coeff(j, p.coeff(j) + eps) for j in (0, 1, p.order // 2, p.order)]
+        for v in variants:
+            got = spectral_residuals(v, G, M)
+            assert got == spectral_by_subtraction(v, G, M)
+            nonzero += any(got)
+            if M is None:
+                assert ode_residuals(v, G) == ode_by_subtraction(v, G)
+        if k == 1:
+            continue
+        prev = phi_k(G, beta, k - 1, max_regular_order(G, beta, k - 1, 24, M)[0], M)
+        for a, b in [(prev, v) for v in variants] + [(prev.with_coeff(2, prev.coeff(2) - eps), p)]:
+            got = recursion_residuals(a, b)
+            assert got == recursion_by_subtraction(a, b)
+            assert all(type(r) is F for r in got)
+            nonzero += any(got)
+    assert nonzero > 40  # the perturbed series really do show residuals
+
+
+BOUNDED_GENS = [GT, WeightGen.finite_product([1, F(1, 2), F(-1, 3)]), GR,
+                WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]), GQ]
+
+
+@pytest.mark.parametrize("G", BOUNDED_GENS, ids=lambda G: G.describe())
+def test_bounded_literal_minors_are_the_restricted_dict(G):
+    # calibration takes only the minors it compares; with a degree bound d
+    # the dict is the full one cut to |lambda| <= d, and errors are unchanged
+    M = 40 if G.q is not None else None
+    cases = 0
+    for beta in (F(1, 7), F(-1, 5), F(2, 11)):
+        for n in range(1, 5):
+            for J in sorted({n, n + 3, 8, 14}):
+                try:
+                    full = list(analytic._literal_minors(G, beta, n, J, M).items())
+                except SingularParameterError as exc:
+                    full = exc
+                for d in range(-1, J - n + 3):
+                    cases += 1
+                    if isinstance(full, Exception):
+                        with pytest.raises(SingularParameterError) as err:
+                            analytic._literal_minors(G, beta, n, J, M, d)
+                        assert (err.value.code, str(err.value)) == (full.code, str(full))
+                        continue
+                    got = list(analytic._literal_minors(G, beta, n, J, M, d).items())
+                    assert got == [(lam, v) for lam, v in full if sum(lam) <= d]
+    assert cases == 432

@@ -58,6 +58,42 @@ def test_eval_weight_gen():
     assert exc.value.code == "bad-truncation"
 
 
+def quantum_product_by_fractions(q, x, M):
+    """prod_{i<=M} 1 / (1 - q^i x), one Fraction operation at a time;
+    returns the first i whose factor vanishes instead of raising."""
+    val, qpow = F(1), F(1)
+    for i in range(M + 1):
+        den = 1 - qpow * x
+        if den == 0:
+            return i
+        val /= den
+        qpow *= q
+    return val
+
+
+def test_quantum_eval_matches_fraction_loop():
+    # the integer product must give the same value, and at a pole the same
+    # error naming the same first vanishing factor
+    xs = [F(i, 23) for i in range(-30, 31)] + [F(3, 7), F(-5, 11), F(2), F(4), F(8)]
+    evaluated = poles = 0
+    for q in (F(1, 2), F(-1, 2), F(2, 3), F(-7, 10), F(9, 10)):
+        G = WeightGen.quantum(q)
+        for M in (0, 1, 5, 12, 40):
+            for x in xs:
+                want = quantum_product_by_fractions(q, x, M)
+                evaluated += 1
+                if isinstance(want, F):
+                    got = eval_weight_gen(G, x, M)
+                    assert type(got) is F and got == want, (q, M, x)
+                    continue
+                poles += 1
+                with pytest.raises(SingularParameterError) as exc:
+                    eval_weight_gen(G, x, M)
+                assert exc.value.code == "weight-gen-pole"
+                assert str(exc.value) == f"pole of quantum weight function: 1 - q^{want}*({x}) = 0"
+    assert (evaluated, poles) == (1650, 38)
+
+
 def test_trivial_and_finite_products_are_ratios_without_d():
     # G = 1 is the ratio with no c and no d, a finite product the one with no d
     empty = [WeightGen.trivial(), WeightGen.finite_product([]), WeightGen.rational([], [])]
