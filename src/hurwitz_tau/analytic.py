@@ -62,12 +62,6 @@ class PhiSeries:
             acc = acc * x + c
         return acc * x ** self.lead_exp
 
-    def with_coeff(self, j: int, value: Fraction) -> "PhiSeries":
-        """Copy with one coefficient replaced (negative-control helper)."""
-        cs = list(self.coeffs)
-        cs[j] = Fraction(value)
-        return PhiSeries(self.k, self.beta, self.lead_exp, tuple(cs))
-
 
 def phi_k(G: WeightGen, beta, k: int, J: int, M: int | None = None) -> PhiSeries:
     """Basis series of index k with coefficients through series order J.
@@ -441,14 +435,16 @@ def tau_det_polynomial(G: WeightGen, beta, n: int, J: int,
     return {lam: scale * v for lam, v in minors.items()}
 
 
-def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
+def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int,
+                          M: int | None = None) -> dict:
     """Direct series in the Schur basis: r_lambda(beta) / h_lambda.
 
     Covers partitions with at most n parts and |lambda| <= max_deg, so G is
-    never evaluated at a content that only longer diagrams have.
+    never evaluated at a content that only longer diagrams have.  The
+    quantum family is evaluated on its product truncated at ``M``.
     """
     beta = Fraction(beta)
-    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1),
+    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta, M), Fraction(1),
                           partitions_up_to(max_deg, n))
     return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
@@ -474,7 +470,7 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int,
         )
     # the constant term is read even when compare_deg < 0
     literal = _literal_minors(G, beta, n, J, M, max(compare_deg, 0))
-    direct = tau_direct_polynomial(G, beta, n, compare_deg)
+    direct = tau_direct_polynomial(G, beta, n, max(compare_deg, 0), M)
     const = ()
     base = literal.get(const)
     if not base:

@@ -238,22 +238,17 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     return out
 
 
-def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
+def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int, M: int | None = None) -> Fraction:
     """Evaluate the single series on the trace invariants of diag(X), exactly.
 
     Sums h(lam)^{-1} r_lam(beta) s_lam over |lam| <= Nmax with Schur values
-    computed from power sums p_j = sum x_i^j.  The quantum family has no
-    exact numeric content product and is rejected.
+    computed from power sums p_j = sum x_i^j.  The quantum family is
+    evaluated on its product truncated at ``M``, as eval_weight_gen does.
     """
-    if G.q is not None:
-        raise UsageError(
-            "exact series evaluation is not defined for the quantum family",
-            code="quantum-unsupported",
-        )
     beta = Fraction(beta)
     xs = [Fraction(x) for x in X]
     power = {j: sum(x ** j for x in xs) for j in range(1, Nmax + 1)}
-    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1),
+    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta, M), Fraction(1),
                           partitions_up_to(Nmax))
     total = Fraction(1)  # empty diagram contributes 1
     for n in range(1, Nmax + 1):

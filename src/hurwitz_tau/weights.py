@@ -24,7 +24,6 @@ from .partitions import (
     as_partition,
     colength,
     enumerate_partitions,
-    identity_cycle_type,
     weight,
 )
 
@@ -283,7 +282,7 @@ class WeightedTerm:
         return self.arrangements * self.factor * self.base
 
 
-def _checked_query(G: WeightGen, d: int, mu, nu) -> tuple[Partition, Partition, bool]:
+def _checked_query(d: int, mu, nu) -> tuple[Partition, Partition, bool]:
     """Normalised (mu, nu) of the query H^d_G(mu, nu) and whether it is odd.
 
     Every input the count is not defined on raises here, whatever its parity.
@@ -300,12 +299,6 @@ def _checked_query(G: WeightGen, d: int, mu, nu) -> tuple[Partition, Partition, 
         )
     if d < 0:
         raise UsageError("total weighted colength d must be >= 0", code="bad-degree")
-    if d and G.q is not None and nu != identity_cycle_type(weight(nu)):
-        raise UsageError(
-            "quantum weighting defines single Hurwitz numbers only; "
-            "nu must be the identity cycle type",
-            code="quantum-single-only",
-        )
     return mu, nu, (d + colength(mu) + colength(nu)) % 2 == 1
 
 
@@ -315,7 +308,7 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
 
     At an odd total colength each base count is 0 by parity and is not summed.
     """
-    mu, nu, odd = _checked_query(G, d, mu, nu)
+    mu, nu, odd = _checked_query(d, mu, nu)
     N = weight(mu)
 
     def count(profiles) -> Fraction:
@@ -339,9 +332,9 @@ def weighted_hurwitz(G: WeightGen, d: int, mu, nu) -> Fraction:
     """Weighted Hurwitz number H^d_G(mu, nu), exact.
 
     d = 0 degenerates to the unweighted two-point count delta_{mu,nu}/z_mu;
-    for the quantum family only nu = (1^N) is defined.  An odd total colength
-    returns 0 once the inputs are checked.
+    every family, quantum included, is defined on every (mu, nu) with
+    |mu| = |nu|.  An odd total colength returns 0 once the inputs are checked.
     """
-    if _checked_query(G, d, mu, nu)[2]:
+    if _checked_query(d, mu, nu)[2]:
         return Fraction(0)
     return sum((t.value for t in weighted_hurwitz_terms(G, d, mu, nu)), Fraction(0))

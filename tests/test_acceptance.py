@@ -12,6 +12,7 @@ names every such point.
 
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -105,8 +106,6 @@ def test_criterion_3_series_coefficients_equal_weighted_counts():
         for n in range(5):
             for mu in enumerate_partitions(n):
                 for nu in enumerate_partitions(n):
-                    if G.kind == "quantum" and nu != identity_cycle_type(n):
-                        continue
                     for d in range(4):
                         cases += 1
                         if extract_H(table, d, mu, nu) != weighted_hurwitz(G, d, mu, nu):
@@ -243,10 +242,10 @@ def test_criterion_7_recursion_identity_through_order_24():
 def test_criterion_8_spectral_identity_through_order_24():
     # negative control first: a perturbed coefficient must break the identity
     p = phi_k(G_RATIONAL, F(1, 7), 3, 12)
-    bad = p.with_coeff(6, p.coeff(6) + F(1, 2 ** 50))
+    bad = replace(p, coeffs=p.coeffs[:6] + (p.coeff(6) + F(1, 2 ** 50),) + p.coeffs[7:])
     control_fails = any(r != 0 for r in spectral_residuals(bad, G_RATIONAL))
     p2 = phi_k(G_RATIONAL, F(1, 7), 2, 12)
-    bad2 = p2.with_coeff(5, p2.coeff(5) * F(999, 1000))
+    bad2 = replace(p2, coeffs=p2.coeffs[:5] + (p2.coeff(5) * F(999, 1000),) + p2.coeffs[6:])
     control_fails = control_fails and any(
         r != 0 for r in recursion_residuals(phi_k(G_RATIONAL, F(1, 7), 1, 12), bad2)
     )

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
 
@@ -86,7 +87,7 @@ def test_recursion_identity_negative_control():
     p2 = phi_k(G1, F(1, 3), 2, 10)
     p1 = phi_k(G1, F(1, 3), 1, 10)
     assert all(r == 0 for r in recursion_residuals(p1, p2))
-    byte_flip = p2.with_coeff(4, p2.coeff(4) + F(1, 10 ** 9))
+    byte_flip = replace(p2, coeffs=p2.coeffs[:4] + (p2.coeff(4) + F(1, 10 ** 9),) + p2.coeffs[5:])
     assert any(r != 0 for r in recursion_residuals(p1, byte_flip))
 
 
@@ -102,7 +103,7 @@ def test_spectral_negative_control():
     p = phi_k(GR, F(1, 7), 3, 12)
     assert all(r == 0 for r in spectral_residuals(p, GR))
     assert all(r == 0 for r in ode_residuals(p, GR))
-    bad = p.with_coeff(5, p.coeff(5) * F(1000001, 1000000))
+    bad = replace(p, coeffs=p.coeffs[:5] + (p.coeff(5) * F(1000001, 1000000),) + p.coeffs[6:])
     assert any(r != 0 for r in spectral_residuals(bad, GR))
     assert any(r != 0 for r in ode_residuals(bad, GR))
 
@@ -162,10 +163,13 @@ def test_det_rep_input_validation():
 
 
 def test_det_rep_n1_equals_direct_series():
-    # phi_1 is itself the one-variable series: same truncation, same value
-    for G in (GT, G1, GR):
-        v = tau_det_rep(G, F(1, 7), [F(1, 10)], 8)
-        assert v.value == tau_eval_at_matrix(G, F(1, 7), [F(1, 10)], 8)
+    # phi_1 is itself the one-variable series: same truncation, same value;
+    # for the quantum family both routes evaluate the same truncated G_M
+    cases = [(G, F(1, 7), None) for G in (GT, G1, GR)]
+    cases += [(GQ, F(1, 23), M) for M in (0, 12, 40)]
+    for G, beta, M in cases:
+        v = tau_det_rep(G, beta, [F(1, 10)], 8, M)
+        assert v.value == tau_eval_at_matrix(G, beta, [F(1, 10)], 8, M)
         assert v.beta_exponent == -1
 
 
@@ -174,6 +178,16 @@ def test_calibration_exponent(n):
     for G in (GT, G1, GR):
         e = calibrate_det_exponent(G, F(1, 7), n, 12, compare_deg=min(6, 13 - n))
         assert e == det_rep_calibration(n) == -n
+
+
+@pytest.mark.parametrize("G, beta, M", [(GR, F(1, 7), None), (GQ, F(1, 23), 12)],
+                         ids=["rational", "quantum"])
+def test_calibration_below_degree_zero(G, beta, M):
+    # a negative comparison degree compares the constant term alone, so the
+    # exponent is the one found at degree 0
+    for n in (1, 2, 3):
+        for deg in (-3, -1, 0):
+            assert calibrate_det_exponent(G, beta, n, 12, compare_deg=deg, M=M) == -n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -210,7 +224,9 @@ def test_calibration_negative_control(monkeypatch):
 
     def perturbed(G, beta, k, J, M=None):
         p = real(G, beta, k, J, M)
-        return p.with_coeff(2, p.coeff(2) + F(1, 2 ** 50)) if k == 1 else p
+        if k != 1:
+            return p
+        return replace(p, coeffs=p.coeffs[:2] + (p.coeff(2) + F(1, 2 ** 50),) + p.coeffs[3:])
 
     monkeypatch.setattr(analytic, "phi_k", perturbed)
     det_poly = tau_det_polynomial(GR, F(1, 7), 2, 12)
@@ -324,7 +340,8 @@ def test_compare_first_residuals_equal_subtraction(G, beta, M):
     nonzero = 0
     for k in range(1, 7):
         p = phi_k(G, beta, k, max_regular_order(G, beta, k, 24, M)[0], M)
-        variants = [p] + [p.with_coeff(j, p.coeff(j) + eps) for j in (0, 1, p.order // 2, p.order)]
+        variants = [p] + [replace(p, coeffs=p.coeffs[:j] + (p.coeff(j) + eps,) + p.coeffs[j + 1:])
+                          for j in (0, 1, p.order // 2, p.order)]
         for v in variants:
             got = spectral_residuals(v, G, M)
             assert got == spectral_by_subtraction(v, G, M)
@@ -334,7 +351,8 @@ def test_compare_first_residuals_equal_subtraction(G, beta, M):
         if k == 1:
             continue
         prev = phi_k(G, beta, k - 1, max_regular_order(G, beta, k - 1, 24, M)[0], M)
-        for a, b in [(prev, v) for v in variants] + [(prev.with_coeff(2, prev.coeff(2) - eps), p)]:
+        bad_prev = replace(prev, coeffs=prev.coeffs[:2] + (prev.coeff(2) - eps,) + prev.coeffs[3:])
+        for a, b in [(prev, v) for v in variants] + [(bad_prev, p)]:
             got = recursion_residuals(a, b)
             assert got == recursion_by_subtraction(a, b)
             assert all(type(r) is F for r in got)

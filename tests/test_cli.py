@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations
@@ -13,6 +14,7 @@ from hurwitz_tau import analytic, cli, weights
 from hurwitz_tau.cli import emit_table, parse_profiles, run
 from hurwitz_tau.errors import UsageError
 from hurwitz_tau.partitions import colength
+from hurwitz_tau.tau_series import extract_H, tau_double_table
 
 
 def capture(capsys):
@@ -191,7 +193,9 @@ def test_verify_capped_determinant_negative_control(capsys, monkeypatch):
 
     def perturbed(G, beta, k, J, M=None):
         p = real(G, beta, k, J, M)
-        return p.with_coeff(2, p.coeff(2) + F(1, 2 ** 50)) if k == 1 else p
+        if k != 1:
+            return p
+        return replace(p, coeffs=p.coeffs[:2] + (p.coeff(2) + F(1, 2 ** 50),) + p.coeffs[3:])
 
     monkeypatch.setattr(analytic, "phi_k", perturbed)
     code = run(POLE_ARGV)
@@ -202,6 +206,30 @@ def test_verify_capped_determinant_negative_control(capsys, monkeypatch):
     for n, line in zip((1, 2, 3), lines):
         assert line == (f"FAIL determinant representation n={n}: "
                         "calibration is not a pure beta power: mismatch at (2,)")
+
+
+def test_verify_quantum_determinant_negative_control(capsys, monkeypatch):
+    # the determinant lines run on the truncated product G_M and say so; a
+    # direct route one factor short (M - 1) must make every line FAIL
+    argv = ["verify", "--suite", "analytic", "--gen", "quantum", "--q", "1/2",
+            "--m", "40", "--beta", "1/23", "--kmax", "6", "--order", "24"]
+    assert run(argv) == 0
+    out, _ = capture(capsys)
+    lines = [ln for ln in out.splitlines() if "determinant representation" in ln]
+    assert lines == [f"PASS determinant representation n={n}: calibrated beta exponent {-n}, "
+                     "Wronskian equal exactly, G truncated at M=40" for n in (1, 2, 3)]
+    real = analytic.tau_direct_polynomial
+
+    def short(G, beta, n, max_deg, M=None):
+        return real(G, beta, n, max_deg, M - 1)
+
+    monkeypatch.setattr(analytic, "tau_direct_polynomial", short)
+    assert run(argv) == 1
+    out, _ = capture(capsys)
+    lines = [ln for ln in out.splitlines() if "determinant representation" in ln]
+    assert lines == [f"FAIL determinant representation n={n}: calibration is not a pure "
+                     "beta power: mismatch at (2,), G truncated at M=40" for n in (1, 2, 3)]
+    assert out.endswith("FAILURES: 3\n")
 
 
 def test_byte_identical_output(capsys):
@@ -333,12 +361,18 @@ def test_phi_quantum_prints_long_exact_coefficients(capsys):
     assert max(len(c) for c in data["coeffs"]) > 4300
 
 
-def test_weighted_quantum_rejects_nonidentity_nu(capsys):
-    code = run(["weighted", "--gen", "quantum", "--q", "1/2",
-                "--deg", "1", "--mu", "[2]", "--nu", "[2]"])
-    _, err = capture(capsys)
-    assert code == 2
-    assert json.loads(err)["error"] == "quantum-single-only"
+def test_weighted_quantum_double_numbers_equal_table(capsys):
+    # a quantum query with nu != (1^N) is a double Hurwitz number: it prints
+    # the double-series table entry, with and without --trace
+    table = tau_double_table(weights.WeightGen.quantum(F(1, 2)), 2, 4)
+    for d, mu, nu in ((1, (2,), (2,)), (2, (2, 1, 1), (3, 1)), (1, (3,), (2, 1))):
+        for trace in ([], ["--trace"]):
+            code = run(["weighted", "--gen", "quantum", "--q", "1/2", "--deg", str(d),
+                        "--mu", str(list(mu)), "--nu", str(list(nu)), *trace])
+            out, err = capture(capsys)
+            assert (code, err) == (0, "")
+            assert F(json.loads(out)["H"]) == extract_H(table, d, mu, nu), (d, mu, nu)
+    assert extract_H(table, 1, (3,), (2, 1)) != 0
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -347,9 +381,7 @@ def test_weighted_quantum_rejects_nonidentity_nu(capsys):
       "--mu", "[2]", "--nu", "[1,1,1]"], "weight-mismatch"),
     (["--gen", "finite", "--c", "1", "--deg", "-1", "--mu", "[2]", "--nu", "[2]"],
      "bad-degree"),
-    (["--gen", "quantum", "--q", "1/2", "--deg", "2", "--mu", "[3]", "--nu", "[2,1]"],
-     "quantum-single-only"),
-], ids=["weight-mismatch", "weight-mismatch-rational", "bad-degree", "quantum-single-only"])
+], ids=["weight-mismatch", "weight-mismatch-rational", "bad-degree"])
 @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
 def test_weighted_odd_total_usage_errors(capsys, argv, error, trace):
     # every argv has an odd total colength: the input check comes before the
@@ -359,6 +391,16 @@ def test_weighted_odd_total_usage_errors(capsys, argv, error, trace):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+def test_weighted_quantum_odd_total_prints_zero(capsys, trace):
+    # a quantum double query at an odd total colength is 0, like any other G
+    code = run(["weighted", "--gen", "quantum", "--q", "1/2", "--deg", "2",
+                "--mu", "[3]", "--nu", "[2,1]", *trace])
+    out, err = capture(capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["H"] == "0"
 
 
 def test_parser_built_once(capsys, monkeypatch):

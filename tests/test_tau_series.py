@@ -163,8 +163,6 @@ def test_dual_path_against_weights():
         for n in range(5):
             for mu in enumerate_partitions(n):
                 for nu in enumerate_partitions(n):
-                    if G.kind == "quantum" and nu != identity_cycle_type(n):
-                        continue
                     for d in range(4):
                         assert extract_H(table, d, mu, nu) == weighted_hurwitz(
                             G, d, mu, nu
@@ -184,8 +182,6 @@ def test_dual_path_adversarial_parameters():
         for n in range(4):
             for mu in enumerate_partitions(n):
                 for nu in enumerate_partitions(n):
-                    if G.kind == "quantum" and nu != identity_cycle_type(n):
-                        continue
                     for d in range(4):
                         assert extract_H(table, d, mu, nu) == weighted_hurwitz(
                             G, d, mu, nu
@@ -242,8 +238,10 @@ def test_tau_eval_at_matrix():
     # G = 1 + z at beta = 1: geometric-looking series 1 + x + x^2 + x^3
     x = F(1, 10)
     assert tau_eval_at_matrix(G1, 1, [x], 3) == 1 + x + x ** 2 + x ** 3
-    with pytest.raises(UsageError):
+    # the quantum product is evaluated only at a truncation M
+    with pytest.raises(UsageError) as err:
         tau_eval_at_matrix(GQ, F(1, 2), [x], 3)
+    assert err.value.code == "quantum-needs-truncation"
 
 
 # -- integer table kernels ---------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hurwitz_tau.errors import SingularParameterError, UsageError
 from hurwitz_tau.hurwitz import ProfileTuple, hurwitz_number
-from hurwitz_tau.partitions import colength, enumerate_partitions, identity_cycle_type, z_of
+from hurwitz_tau.partitions import colength, enumerate_partitions, z_of
 from hurwitz_tau.tau_series import extract_H, tau_double_table
 from hurwitz_tau.weights import (
     WeightGen,
@@ -346,10 +346,10 @@ def test_multiset_sum_equals_ordered_reference():
     Gq = WeightGen.quantum(F(1, 2))
     for d in (1, 2, 3):
         for mu in enumerate_partitions(3):
-            nu = identity_cycle_type(3)
-            assert weighted_hurwitz(Gq, d, mu, nu) == ordered_reference_weighted(
-                Gq, d, mu, nu
-            )
+            for nu in enumerate_partitions(3):
+                assert weighted_hurwitz(Gq, d, mu, nu) == ordered_reference_weighted(
+                    Gq, d, mu, nu
+                )
     Gr = WeightGen.rational([F(1)], [F(1, 3)])
     for d in (1, 2):
         for mu in enumerate_partitions(3):
@@ -405,9 +405,6 @@ USAGE_ERRORS = [
     (WeightGen.finite_product([1]), -1, (2,), (2,), "bad-degree"),            # odd
     (WeightGen.finite_product([1]), -2, (2,), (2,), "bad-degree"),            # even
     (WeightGen.trivial(), -2, (2,), (1, 1), "bad-degree"),                    # odd
-    (WeightGen.quantum(F(1, 2)), 1, (2,), (2,), "quantum-single-only"),       # odd
-    (WeightGen.quantum(F(1, 2)), 2, (3,), (2, 1), "quantum-single-only"),     # odd
-    (WeightGen.quantum(F(1, 2)), 1, (3,), (2, 1), "quantum-single-only"),     # even
 ]
 
 
@@ -421,11 +418,23 @@ def test_weighted_hurwitz_usage_errors():
     assert weighted_hurwitz(WeightGen.quantum(F(1, 2)), 0, (2, 1), (2, 1)) == F(1, 2)
 
 
-def _odd_total_queries(G, nmax, dmax):
+def test_weighted_quantum_double_numbers_equal_table():
+    # the quantum family has double numbers like every other G: a query with
+    # nu != (1^N) is the double-series entry, at an odd total too
+    G = WeightGen.quantum(F(1, 2))
+    table = tau_double_table(G, 2, 3)
+    for d, mu, nu in ((1, (2,), (2,)), (2, (3,), (2, 1)), (1, (3,), (2, 1))):
+        want = extract_H(table, d, mu, nu)
+        assert weighted_hurwitz(G, d, mu, nu) == want
+        assert sum(t.value for t in weighted_hurwitz_terms(G, d, mu, nu)) == want
+    assert extract_H(table, 1, (3,), (2, 1)) != 0
+
+
+def _odd_total_queries(nmax, dmax):
     for N in range(1, nmax + 1):
         parts = enumerate_partitions(N)
         for mu in parts:
-            for nu in ([identity_cycle_type(N)] if G.kind == "quantum" else parts):
+            for nu in parts:
                 for d in range(dmax + 1):
                     if (d + colength(mu) + colength(nu)) % 2:
                         yield d, mu, nu
@@ -442,7 +451,7 @@ def test_odd_total_is_zero_by_the_character_sum(G):
     # configuration's count is summed in full and must cancel to 0
     nmax, dmax = 4, 5
     table = tau_double_table(G, dmax, nmax)
-    queries = list(_odd_total_queries(G, nmax, dmax))
+    queries = list(_odd_total_queries(nmax, dmax))
     assert len(queries) > 20
     configs = 0
     for d, mu, nu in queries:
