@@ -15,7 +15,7 @@ the largest order they could reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -25,7 +25,7 @@ from .errors import (
     UsageError,
 )
 from .partitions import hook_product, partitions_up_to
-from .tau_series import _content_products, rho
+from .tau_series import _numeric_content_products, rho
 from .weights import WeightGen, eval_weight_gen
 
 
@@ -63,7 +63,7 @@ class PhiSeries:
         return acc * x ** self.lead_exp
 
 
-def phi_k(G: WeightGen, beta, k: int, J: int, M: int | None = None) -> PhiSeries:
+def phi_k(G: WeightGen, beta, k: int, J: int) -> PhiSeries:
     """Basis series of index k with coefficients through series order J.
 
     Coefficient j is beta^(1-j) rho_{j-k} / j!  attached to x^(1-k+j).
@@ -77,7 +77,7 @@ def phi_k(G: WeightGen, beta, k: int, J: int, M: int | None = None) -> PhiSeries
     beta = Fraction(beta)
     coeffs = []
     for j in range(J + 1):
-        r = rho(G, j - k, beta, M)
+        r = rho(G, j - k, beta)
         coeffs.append(beta ** (1 - j) * r / factorial(j))
     return PhiSeries(k, beta, 1 - k, tuple(coeffs))
 
@@ -90,10 +90,11 @@ def max_regular_order(G: WeightGen, beta, k: int, J: int,
     A singularity among the negative-index rho values (j < k) makes the
     series unconstructible and is re-raised.
     """
+    G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
     beta = Fraction(beta)
     for j in range(J + 1):
         try:
-            rho(G, j - k, beta, M)
+            rho(G, j - k, beta)
         except SingularParameterError as exc:
             if j - k < 0:
                 raise
@@ -174,17 +175,17 @@ def check_recursion(G: WeightGen, beta, k: int, J: int,
     if k < 2:
         raise UsageError("recursion check needs k >= 2 so both indices are >= 1",
                          code="bad-index")
+    G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
     beta = Fraction(beta)
-    jk, reason_k = max_regular_order(G, beta, k, J, M)
-    jkm1, reason_km1 = max_regular_order(G, beta, k - 1, J, M)
-    cur = phi_k(G, beta, k, jk, M)
-    prev = phi_k(G, beta, k - 1, jkm1, M)
+    jk, reason_k = max_regular_order(G, beta, k, J)
+    jkm1, reason_km1 = max_regular_order(G, beta, k - 1, J)
+    cur = phi_k(G, beta, k, jk)
+    prev = phi_k(G, beta, k - 1, jkm1)
     return _identity_report("recursion", k, beta, J, min(jk, jkm1 + 1),
                             reason_k or reason_km1, recursion_residuals(prev, cur))
 
 
-def spectral_residuals(p: PhiSeries, G: WeightGen,
-                       M: int | None = None) -> list[Fraction]:
+def spectral_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
     """Coefficients of (x G(beta D) - D - (k-1)) phi_k, one per power of x.
 
     The coefficient of x^s is a_{s-1} G(beta (s-1)) - (s + k - 1) a_s.
@@ -194,7 +195,7 @@ def spectral_residuals(p: PhiSeries, G: WeightGen,
     out = [-(p.lead_exp + k - 1) * p.coeff(0)]
     for j in range(1, p.order + 1):
         s = p.lead_exp + j
-        out.append(_difference(p.coeff(j - 1) * eval_weight_gen(G, beta * (s - 1), M),
+        out.append(_difference(p.coeff(j - 1) * eval_weight_gen(G, beta * (s - 1)),
                                (s + k - 1) * p.coeff(j)))
     return out
 
@@ -250,10 +251,11 @@ def check_spectral(G: WeightGen, beta, k: int, J: int,
     """
     if k < 1:
         raise UsageError("basis index k must be >= 1", code="bad-index")
+    G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
     beta = Fraction(beta)
-    jk, reason = max_regular_order(G, beta, k, J, M)
-    p = phi_k(G, beta, k, jk, M)
-    residuals = spectral_residuals(p, G, M)
+    jk, reason = max_regular_order(G, beta, k, J)
+    p = phi_k(G, beta, k, jk)
+    residuals = spectral_residuals(p, G)
     ode_checked = G.q is None and all(cl != 0 for cl in G.c)
     if ode_checked:
         residuals += ode_residuals(p, G)
@@ -336,29 +338,28 @@ def _det_inputs(X, J):
     return xs, n
 
 
-def _rho_prefactor(G: WeightGen, beta: Fraction, n: int,
-                   M: int | None = None) -> Fraction:
+def _rho_prefactor(G: WeightGen, beta: Fraction, n: int) -> Fraction:
     """1 / prod_{i=1..n} rho_{-i}, shared by every determinant form."""
     pref = Fraction(1)
     for i in range(1, n + 1):
-        pref /= rho(G, -i, beta, M)
+        pref /= rho(G, -i, beta)
     return pref
 
 
 def _det_form(G: WeightGen, beta: Fraction, xs: list[Fraction], rows,
-              scale: Fraction, M: int | None) -> DetRepValue:
+              scale: Fraction) -> DetRepValue:
     """beta^e scale prod_j x_j^(n-1) det[row(x_j)] / (Delta(x) prod_i rho_{-i})
     with the calibrated exponent e; the rows are built by the caller first."""
     n = len(xs)
     det = exact_det([[p.eval(x) for x in xs] for p in rows])
-    pref = scale * _rho_prefactor(G, beta, n, M)
+    pref = scale * _rho_prefactor(G, beta, n)
     for x in xs:
         pref *= x ** (n - 1)
     e = det_rep_calibration(n)
     return DetRepValue(beta ** e * pref * det / vandermonde(xs), e)
 
 
-def tau_det_rep(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRepValue:
+def tau_det_rep(G: WeightGen, beta, X, J: int) -> DetRepValue:
     """Ratio-of-determinants evaluation of the generating series at diag(X).
 
     Rows are phi_1 .. phi_n truncated to the shared top power 1 - n + J so
@@ -367,11 +368,11 @@ def tau_det_rep(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRepVa
     """
     beta = Fraction(beta)
     xs, n = _det_inputs(X, J)
-    phis = [phi_k(G, beta, i, J - n + i, M) for i in range(1, n + 1)]
-    return _det_form(G, beta, xs, phis, Fraction(1), M)
+    phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
+    return _det_form(G, beta, xs, phis, Fraction(1))
 
 
-def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRepValue:
+def tau_wronskian(G: WeightGen, beta, X, J: int) -> DetRepValue:
     """Eulerian Wronskian evaluation; equals tau_det_rep exactly.
 
     Rows are D^(i-1) phi_n at the same truncation.  The prefactor carries
@@ -380,10 +381,10 @@ def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRep
     """
     beta = Fraction(beta)
     xs, n = _det_inputs(X, J)
-    rows = [phi_k(G, beta, n, J, M)]
+    rows = [phi_k(G, beta, n, J)]
     for _ in range(n - 1):
         rows.append(euler_apply(rows[-1]))
-    return _det_form(G, beta, xs, rows, _wronskian_sign(n) * beta ** (n * (n - 1) // 2), M)
+    return _det_form(G, beta, xs, rows, _wronskian_sign(n) * beta ** (n * (n - 1) // 2))
 
 
 # -- Schur-basis comparison ------------------------------------------------
@@ -395,8 +396,7 @@ def tau_wronskian(G: WeightGen, beta, X, J: int, M: int | None = None) -> DetRep
 # Both routes return {lambda: coefficient} over partitions with at most n
 # parts, so they compare coefficient by coefficient.
 
-def _literal_minors(G: WeightGen, beta, n: int, J: int,
-                    M: int | None = None, max_deg: int | None = None) -> dict:
+def _literal_minors(G: WeightGen, beta, n: int, J: int, max_deg: int | None = None) -> dict:
     """Schur coefficients of the literal (beta^0) determinant formula.
 
     The coefficient of s_lambda is det[c_i(lambda_j + n - 1 - j)] over the
@@ -409,8 +409,8 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int,
         raise UsageError("need n >= 1", code="bad-matrix")
     if J < n:
         raise UsageError(f"series order {J} too small for n = {n}", code="bad-order")
-    phis = [phi_k(G, beta, i, J - n + i, M) for i in range(1, n + 1)]
-    pref = _rho_prefactor(G, beta, n, M)
+    phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
+    pref = _rho_prefactor(G, beta, n)
     top = 1 - n + J if max_deg is None else min(max_deg, 1 - n + J)
     out = {}
     for lam in partitions_up_to(top, n):
@@ -423,34 +423,28 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int,
     return out
 
 
-def tau_det_polynomial(G: WeightGen, beta, n: int, J: int,
-                       M: int | None = None) -> dict:
+def tau_det_polynomial(G: WeightGen, beta, n: int, J: int) -> dict:
     """Determinant route with formal evaluation points, in the Schur basis.
 
     Returns {lambda: coefficient of s_lambda} for |lambda| <= 1 - n + J,
     exact, with the calibrated beta exponent applied.
     """
-    minors = _literal_minors(G, beta, n, J, M)
+    minors = _literal_minors(G, beta, n, J)
     scale = Fraction(beta) ** det_rep_calibration(n)
     return {lam: scale * v for lam, v in minors.items()}
 
 
-def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int,
-                          M: int | None = None) -> dict:
+def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
     """Direct series in the Schur basis: r_lambda(beta) / h_lambda.
 
     Covers partitions with at most n parts and |lambda| <= max_deg, so G is
-    never evaluated at a content that only longer diagrams have.  The
-    quantum family is evaluated on its product truncated at ``M``.
+    never evaluated at a content that only longer diagrams have.
     """
-    beta = Fraction(beta)
-    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta, M), Fraction(1),
-                          partitions_up_to(max_deg, n))
+    r = _numeric_content_products(G, Fraction(beta), partitions_up_to(max_deg, n))
     return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
 
-def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int,
-                           compare_deg: int, M: int | None = None) -> int:
+def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int) -> int:
     """Beta exponent making the literal determinant formula match the series.
 
     Compares the two Schur-basis routes on every coefficient of degree
@@ -469,8 +463,8 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int,
             code="bad-order",
         )
     # the constant term is read even when compare_deg < 0
-    literal = _literal_minors(G, beta, n, J, M, max(compare_deg, 0))
-    direct = tau_direct_polynomial(G, beta, n, max(compare_deg, 0), M)
+    literal = _literal_minors(G, beta, n, J, max(compare_deg, 0))
+    direct = tau_direct_polynomial(G, beta, n, max(compare_deg, 0))
     const = ()
     base = literal.get(const)
     if not base:

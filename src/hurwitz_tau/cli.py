@@ -108,7 +108,7 @@ def weight_gen_from_args(args) -> WeightGen:
         )
     if not args.q:
         raise UsageError("--gen quantum needs --q", code="missing-flag")
-    return WeightGen.quantum(parse_rational(args.q))
+    return WeightGen.quantum(parse_rational(args.q), getattr(args, "m", None))
 
 
 def _emit_json(obj) -> str:
@@ -214,7 +214,7 @@ def _cmd_chartable(args) -> int:
 def _cmd_phi(args) -> int:
     G = weight_gen_from_args(args)
     beta = parse_rational(args.beta)
-    p = analytic.phi_k(G, beta, args.k, args.order, args.m)
+    p = analytic.phi_k(G, beta, args.k, args.order)
     out = {
         "k": p.k,
         "beta": format_rational(p.beta),
@@ -365,8 +365,7 @@ def _suite_tau(s: _Suite, G: WeightGen, nmax: int, order: int):
     s.check("table is symmetric in (mu, nu)", bad == 0)
 
 
-def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int,
-                    order: int, M: int | None):
+def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int, order: int):
     for identity, check, kmin in (("recursion", analytic.check_recursion, 2),
                                   ("spectral", analytic.check_spectral, 1)):
         if kmax < kmin:
@@ -374,7 +373,7 @@ def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int,
         for k in range(kmin, kmax + 1):
             name = f"{identity} identity k={k}"
             try:
-                rep = check(G, beta, k, order, M)
+                rep = check(G, beta, k, order)
             except SingularParameterError as exc:
                 s.skip(name, f"unconstructible here ({exc})")
                 continue
@@ -387,18 +386,16 @@ def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int,
     xs = [Fraction(1, 100), Fraction(1, 200), Fraction(1, 300)]
     J = max(order // 2, 8)
     # a PASS on the truncated quantum product G_M is no PASS on G itself
-    truncation = f", G truncated at M={M}" if G.q is not None else ""
+    truncation = f", G truncated at M={G.M}" if G.q is not None else ""
     for n in (1, 2, 3):
         name = f"determinant representation n={n}"
         try:
             # the rows, the Wronskian and the prefactor use rho_-n .. rho_(J-n);
             # rho_0 = 1, so the capped order is never below n
-            Jn, reason = analytic.max_regular_order(G, beta, n, J, M)
-            e = analytic.calibrate_det_exponent(
-                G, beta, n, Jn, compare_deg=min(5, 1 - n + Jn), M=M
-            )
-            det = analytic.tau_det_rep(G, beta, xs[:n], Jn, M)
-            wr = analytic.tau_wronskian(G, beta, xs[:n], Jn, M)
+            Jn, reason = analytic.max_regular_order(G, beta, n, J)
+            e = analytic.calibrate_det_exponent(G, beta, n, Jn, compare_deg=min(5, 1 - n + Jn))
+            det = analytic.tau_det_rep(G, beta, xs[:n], Jn)
+            wr = analytic.tau_wronskian(G, beta, xs[:n], Jn)
         except SingularParameterError as exc:
             if exc.code == "calibration-failed":
                 s.check(name, False, f"{exc}{truncation}")
@@ -423,14 +420,17 @@ def _cmd_verify(args) -> int:
     if args.suite in ("tau", "all"):
         _suite_tau(s, G, args.nmax, min(args.order, 3))
     if args.suite in ("analytic", "all"):
-        _suite_analytic(s, G, beta, args.kmax, args.order, args.m)
+        _suite_analytic(s, G, beta, args.kmax, args.order)
     s.lines.append(f"FAILURES: {s.failures}" if s.failures else "ALL CHECKS PASSED")
     print("\n".join(s.lines))
     return 1 if s.failures else 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors raise UsageError, so they leave as JSON like the rest."""
+    """Argument errors leave as UsageError JSON; flags are spelled in full (no --m for --mu)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}", code="bad-argument")

@@ -61,6 +61,11 @@ def _content_products(extend, one, shapes) -> dict:
     return r
 
 
+def _numeric_content_products(G: WeightGen, beta: Fraction, shapes) -> dict:
+    """prod_{cells} G(content * beta) of every lambda in shapes, at a number beta."""
+    return _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1), shapes)
+
+
 def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
     """Content products of every |lambda| <= Nmax as ints over one
     denominator per beta-degree: r_lambda(G, lambda, D).coeffs[d] equals
@@ -100,7 +105,7 @@ def _cleared(values) -> tuple[list[int], int]:
 
 
 @cache
-def _rho_ladder(G: WeightGen, beta: Fraction, M: int | None, sign: int) -> list[Fraction]:
+def _rho_ladder(G: WeightGen, beta: Fraction, sign: int) -> list[Fraction]:
     """The rho values known so far, grown in place by :func:`rho`.
 
     sign 1 holds rho_0, rho_1, ...; sign -1 holds rho_{-1}, rho_{-2}, ...
@@ -109,23 +114,23 @@ def _rho_ladder(G: WeightGen, beta: Fraction, M: int | None, sign: int) -> list[
 
 
 @cache
-def rho(G: WeightGen, j: int, beta: Fraction, M: int | None = None) -> Fraction:
+def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
     """Exact value of the normalization constant rho_j at numeric beta.
 
     rho_j = beta^j prod_{i=1..j} G(i beta) for j >= 0 (rho_0 = 1) and
     rho_{-j} = beta^{-j} prod_{i=1..j-1} G(-i beta)^{-1}; the quantum
-    family needs a product truncation ``M``.  Each value extends the one
+    family needs a product truncation ``G.M``.  Each value extends the one
     next to it on the ladder by a single factor of G.
     """
     beta = Fraction(beta)
     if beta == 0:
         raise UsageError("beta must be nonzero", code="bad-beta")
     if j >= 0:
-        ladder = _rho_ladder(G, beta, M, 1)
+        ladder = _rho_ladder(G, beta, 1)
         while len(ladder) <= j:
             i = len(ladder)
             try:
-                g = eval_weight_gen(G, i * beta, M)
+                g = eval_weight_gen(G, i * beta)
             except SingularParameterError as exc:
                 raise SingularParameterError(
                     f"rho_{j} undefined: G({i}*beta) is singular ({exc})",
@@ -133,11 +138,11 @@ def rho(G: WeightGen, j: int, beta: Fraction, M: int | None = None) -> Fraction:
                 ) from exc
             ladder.append(ladder[-1] * beta * g)
         return ladder[j]
-    ladder = _rho_ladder(G, beta, M, -1)
+    ladder = _rho_ladder(G, beta, -1)
     while len(ladder) < -j:
         # ladder[i - 1] is rho_{-i}; the next value divides by G(-i beta)
         i = len(ladder)
-        g = eval_weight_gen(G, -i * beta, M)
+        g = eval_weight_gen(G, -i * beta)
         if g == 0:
             raise SingularParameterError(
                 f"rho_{j} undefined: G(-{i}*beta) = 0 at beta={beta}",
@@ -238,18 +243,16 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     return out
 
 
-def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int, M: int | None = None) -> Fraction:
+def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
     """Evaluate the single series on the trace invariants of diag(X), exactly.
 
     Sums h(lam)^{-1} r_lam(beta) s_lam over |lam| <= Nmax with Schur values
-    computed from power sums p_j = sum x_i^j.  The quantum family is
-    evaluated on its product truncated at ``M``, as eval_weight_gen does.
+    computed from power sums p_j = sum x_i^j.
     """
     beta = Fraction(beta)
     xs = [Fraction(x) for x in X]
     power = {j: sum(x ** j for x in xs) for j in range(1, Nmax + 1)}
-    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta, M), Fraction(1),
-                          partitions_up_to(Nmax))
+    r = _numeric_content_products(G, beta, partitions_up_to(Nmax))
     total = Fraction(1)  # empty diagram contributes 1
     for n in range(1, Nmax + 1):
         rows = character_table(n)

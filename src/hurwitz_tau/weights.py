@@ -16,7 +16,6 @@ from functools import cache
 from itertools import combinations, groupby
 from math import factorial
 
-from .algebra import BetaSeries
 from .errors import SingularParameterError, UsageError
 from .hurwitz import ProfileTuple, hurwitz_number
 from .partitions import (
@@ -36,6 +35,7 @@ class WeightGen:
     c: tuple[Fraction, ...] = ()
     d: tuple[Fraction, ...] = ()
     q: Fraction | None = None
+    M: int | None = None  # quantum product truncation, read where G takes a number
 
     @classmethod
     def trivial(cls) -> "WeightGen":
@@ -54,12 +54,12 @@ class WeightGen:
         return cls("rational", c=tuple(Fraction(x) for x in c), d=dd)
 
     @classmethod
-    def quantum(cls, q) -> "WeightGen":
+    def quantum(cls, q, M: int | None = None) -> "WeightGen":
         qq = Fraction(q)
         if qq == 0 or abs(qq) >= 1:
             raise UsageError("quantum parameter must satisfy 0 < |q| < 1",
                              code="bad-weight-params")
-        return cls("quantum", q=qq)
+        return cls("quantum", q=qq, M=M)
 
     def describe(self) -> str:
         if self.kind == "trivial":
@@ -77,13 +77,15 @@ def g_coeffs(G: WeightGen, J: int) -> tuple[Fraction, ...]:
     if J < 0:
         raise UsageError("coefficient count must be >= 0", code="bad-order")
     if G.q is None:
-        num = BetaSeries.one(J)
+        g = [Fraction(1)] + [Fraction(0)] * J
+        # times 1 + c z top down, over 1 - d z bottom up: g[n - 1] is old, then new
         for cl in G.c:
-            num = num * BetaSeries([1, cl], order=J)
-        den = BetaSeries.one(J)
+            for n in range(J, 0, -1):
+                g[n] += cl * g[n - 1]
         for dm in G.d:
-            den = den * BetaSeries([1, -dm], order=J)
-        return (num * den.inv()).coeffs
+            for n in range(1, J + 1):
+                g[n] += dm * g[n - 1]
+        return tuple(g)
     # quantum: coefficients 1/(q;q)_n
     out = [Fraction(1)]
     poch = Fraction(1)
@@ -100,8 +102,8 @@ def g_coeffs(G: WeightGen, J: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def eval_weight_gen(G: WeightGen, x: Fraction, M: int | None = None) -> Fraction:
-    """Exact value G(x); the quantum product must be truncated at index ``M``."""
+def eval_weight_gen(G: WeightGen, x: Fraction) -> Fraction:
+    """Exact value G(x); the quantum product is truncated at index ``G.M``."""
     x = Fraction(x)
     if G.q is None:
         val = Fraction(1)
@@ -116,6 +118,7 @@ def eval_weight_gen(G: WeightGen, x: Fraction, M: int | None = None) -> Fraction
                 )
             val /= den
         return val
+    M = G.M
     if M is None:
         raise UsageError(
             "quantum weight function needs a product truncation M for evaluation",

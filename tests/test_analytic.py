@@ -59,7 +59,7 @@ def test_phi_validation():
         phi_k(G1, F(1, 3), 0, 5)
     with pytest.raises(UsageError):
         phi_k(GQ, F(1, 9), 1, 5)  # quantum needs M
-    p = phi_k(GQ, F(1, 9), 1, 5, M=40)
+    p = phi_k(replace(GQ, M=40), F(1, 9), 1, 5)
     assert p.coeff(0) == 1
 
 
@@ -118,10 +118,34 @@ def test_kappa_example():
 def test_quantum_identities_on_truncated_product():
     # the M-truncated quantum product is itself an exact rational weight
     # object, so the identities hold exactly within the regular window
-    rep = check_recursion(GQ, F(1, 9), 3, 12, M=50)
+    rep = check_recursion(replace(GQ, M=50), F(1, 9), 3, 12)
     assert rep.ok
-    rep = check_spectral(GQ, F(1, 9), 2, 12, M=50)
+    rep = check_spectral(replace(GQ, M=50), F(1, 9), 2, 12)
     assert rep.ok
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-1, 2)])
+def test_truncation_argument_equals_truncation_on_g(q):
+    # max_regular_order, check_recursion and check_spectral still take M
+    # positionally; it must act exactly as the truncation stored on G
+    G, GM = WeightGen.quantum(q), WeightGen.quantum(q, 40)
+    beta = F(1, 23)
+    for k in (1, 2, 5):
+        assert max_regular_order(G, beta, k, 24, 40) == max_regular_order(GM, beta, k, 24)
+        assert check_spectral(G, beta, k, 24, 40) == check_spectral(GM, beta, k, 24)
+        if k > 1:
+            assert check_recursion(G, beta, k, 24, 40) == check_recursion(GM, beta, k, 24)
+
+
+def test_quantum_without_truncation_is_refused():
+    calls = [lambda: phi_k(GQ, F(1, 23), 2, 8),
+             lambda: tau_det_rep(GQ, F(1, 23), [F(1, 10)], 8),
+             lambda: calibrate_det_exponent(GQ, F(1, 23), 2, 8, compare_deg=3),
+             lambda: tau_eval_at_matrix(GQ, F(1, 23), [F(1, 10)], 4)]
+    for call in calls:
+        with pytest.raises(UsageError) as err:
+            call()
+        assert err.value.code == "quantum-needs-truncation"
 
 
 def test_window_capping_matches_pole_location():
@@ -165,11 +189,11 @@ def test_det_rep_input_validation():
 def test_det_rep_n1_equals_direct_series():
     # phi_1 is itself the one-variable series: same truncation, same value;
     # for the quantum family both routes evaluate the same truncated G_M
-    cases = [(G, F(1, 7), None) for G in (GT, G1, GR)]
-    cases += [(GQ, F(1, 23), M) for M in (0, 12, 40)]
-    for G, beta, M in cases:
-        v = tau_det_rep(G, beta, [F(1, 10)], 8, M)
-        assert v.value == tau_eval_at_matrix(G, beta, [F(1, 10)], 8, M)
+    cases = [(G, F(1, 7)) for G in (GT, G1, GR)]
+    cases += [(replace(GQ, M=M), F(1, 23)) for M in (0, 12, 40)]
+    for G, beta in cases:
+        v = tau_det_rep(G, beta, [F(1, 10)], 8)
+        assert v.value == tau_eval_at_matrix(G, beta, [F(1, 10)], 8)
         assert v.beta_exponent == -1
 
 
@@ -180,14 +204,14 @@ def test_calibration_exponent(n):
         assert e == det_rep_calibration(n) == -n
 
 
-@pytest.mark.parametrize("G, beta, M", [(GR, F(1, 7), None), (GQ, F(1, 23), 12)],
+@pytest.mark.parametrize("G, beta", [(GR, F(1, 7)), (replace(GQ, M=12), F(1, 23))],
                          ids=["rational", "quantum"])
-def test_calibration_below_degree_zero(G, beta, M):
+def test_calibration_below_degree_zero(G, beta):
     # a negative comparison degree compares the constant term alone, so the
     # exponent is the one found at degree 0
     for n in (1, 2, 3):
         for deg in (-3, -1, 0):
-            assert calibrate_det_exponent(G, beta, n, 12, compare_deg=deg, M=M) == -n
+            assert calibrate_det_exponent(G, beta, n, 12, compare_deg=deg) == -n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -222,8 +246,8 @@ def test_calibration_negative_control(monkeypatch):
     # exponent is still found and the degree <= 6 comparison must fail
     real = analytic.phi_k
 
-    def perturbed(G, beta, k, J, M=None):
-        p = real(G, beta, k, J, M)
+    def perturbed(G, beta, k, J):
+        p = real(G, beta, k, J)
         if k != 1:
             return p
         return replace(p, coeffs=p.coeffs[:2] + (p.coeff(2) + F(1, 2 ** 50),) + p.coeffs[3:])
@@ -261,16 +285,16 @@ def test_wronskian_equals_det_rep(n):
         assert a.beta_exponent == b.beta_exponent == -n
     # the quantum ladder is regular only below i = 1/beta (pole of the
     # quantum exponential at z = 1), so stay inside that window
-    a = tau_det_rep(GQ, F(1, 9), xs, 8, M=60)
-    b = tau_wronskian(GQ, F(1, 9), xs, 8, M=60)
+    a = tau_det_rep(replace(GQ, M=60), F(1, 9), xs, 8)
+    b = tau_wronskian(replace(GQ, M=60), F(1, 9), xs, 8)
     assert a.value == b.value
 
 
 def test_quantum_det_rep_truncation_stability():
     # raising the product truncation moves the value by less than 1e-9
     xs = [F(1, 50), F(1, 70)]
-    a = tau_det_rep(GQ, F(1, 9), xs, 10, M=60).value
-    b = tau_det_rep(GQ, F(1, 9), xs, 10, M=90).value
+    a = tau_det_rep(replace(GQ, M=60), F(1, 9), xs, 10).value
+    b = tau_det_rep(replace(GQ, M=90), F(1, 9), xs, 10).value
     assert abs(a - b) < F(1, 10 ** 9)
 
 
@@ -303,13 +327,13 @@ def recursion_by_subtraction(prev, cur):
             - prev.power_coeff(m) for m in range(cur.lead_exp, top + 1)]
 
 
-def spectral_by_subtraction(p, G, M):
+def spectral_by_subtraction(p, G):
     out = []
     for j in range(p.order + 1):
         s = p.lead_exp + j
         val = -(s + p.k - 1) * p.coeff(j)
         if j > 0:
-            val += p.coeff(j - 1) * eval_weight_gen(G, p.beta * (s - 1), M)
+            val += p.coeff(j - 1) * eval_weight_gen(G, p.beta * (s - 1))
         out.append(val)
     return out
 
@@ -336,21 +360,22 @@ def ode_by_subtraction(p, G):
 def test_compare_first_residuals_equal_subtraction(G, beta, M):
     # residuals compare before they subtract; the lists must equal the plain
     # differences, on valid series and on series with one coefficient off
+    G = replace(G, M=M)
     eps = F(1, 2 ** 50)
     nonzero = 0
     for k in range(1, 7):
-        p = phi_k(G, beta, k, max_regular_order(G, beta, k, 24, M)[0], M)
+        p = phi_k(G, beta, k, max_regular_order(G, beta, k, 24)[0])
         variants = [p] + [replace(p, coeffs=p.coeffs[:j] + (p.coeff(j) + eps,) + p.coeffs[j + 1:])
                           for j in (0, 1, p.order // 2, p.order)]
         for v in variants:
-            got = spectral_residuals(v, G, M)
-            assert got == spectral_by_subtraction(v, G, M)
+            got = spectral_residuals(v, G)
+            assert got == spectral_by_subtraction(v, G)
             nonzero += any(got)
             if M is None:
                 assert ode_residuals(v, G) == ode_by_subtraction(v, G)
         if k == 1:
             continue
-        prev = phi_k(G, beta, k - 1, max_regular_order(G, beta, k - 1, 24, M)[0], M)
+        prev = phi_k(G, beta, k - 1, max_regular_order(G, beta, k - 1, 24)[0])
         bad_prev = replace(prev, coeffs=prev.coeffs[:2] + (prev.coeff(2) - eps,) + prev.coeffs[3:])
         for a, b in [(prev, v) for v in variants] + [(bad_prev, p)]:
             got = recursion_residuals(a, b)
@@ -361,29 +386,28 @@ def test_compare_first_residuals_equal_subtraction(G, beta, M):
 
 
 BOUNDED_GENS = [GT, WeightGen.finite_product([1, F(1, 2), F(-1, 3)]), GR,
-                WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]), GQ]
+                WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]), replace(GQ, M=40)]
 
 
 @pytest.mark.parametrize("G", BOUNDED_GENS, ids=lambda G: G.describe())
 def test_bounded_literal_minors_are_the_restricted_dict(G):
     # calibration takes only the minors it compares; with a degree bound d
     # the dict is the full one cut to |lambda| <= d, and errors are unchanged
-    M = 40 if G.q is not None else None
     cases = 0
     for beta in (F(1, 7), F(-1, 5), F(2, 11)):
         for n in range(1, 5):
             for J in sorted({n, n + 3, 8, 14}):
                 try:
-                    full = list(analytic._literal_minors(G, beta, n, J, M).items())
+                    full = list(analytic._literal_minors(G, beta, n, J).items())
                 except SingularParameterError as exc:
                     full = exc
                 for d in range(-1, J - n + 3):
                     cases += 1
                     if isinstance(full, Exception):
                         with pytest.raises(SingularParameterError) as err:
-                            analytic._literal_minors(G, beta, n, J, M, d)
+                            analytic._literal_minors(G, beta, n, J, d)
                         assert (err.value.code, str(err.value)) == (full.code, str(full))
                         continue
-                    got = list(analytic._literal_minors(G, beta, n, J, M, d).items())
+                    got = list(analytic._literal_minors(G, beta, n, J, d).items())
                     assert got == [(lam, v) for lam, v in full if sum(lam) <= d]
     assert cases == 432

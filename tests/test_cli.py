@@ -191,8 +191,8 @@ def test_verify_capped_determinant_negative_control(capsys, monkeypatch):
     # control): a capped window must still report the calibration failure
     real = analytic.phi_k
 
-    def perturbed(G, beta, k, J, M=None):
-        p = real(G, beta, k, J, M)
+    def perturbed(G, beta, k, J):
+        p = real(G, beta, k, J)
         if k != 1:
             return p
         return replace(p, coeffs=p.coeffs[:2] + (p.coeff(2) + F(1, 2 ** 50),) + p.coeffs[3:])
@@ -220,8 +220,8 @@ def test_verify_quantum_determinant_negative_control(capsys, monkeypatch):
                      "Wronskian equal exactly, G truncated at M=40" for n in (1, 2, 3)]
     real = analytic.tau_direct_polynomial
 
-    def short(G, beta, n, max_deg, M=None):
-        return real(G, beta, n, max_deg, M - 1)
+    def short(G, beta, n, max_deg):
+        return real(replace(G, M=G.M - 1), beta, n, max_deg)
 
     monkeypatch.setattr(analytic, "tau_direct_polynomial", short)
     assert run(argv) == 1
@@ -331,6 +331,20 @@ def test_parser_errors_are_structured(capsys):
     payload = json.loads(err)
     assert payload["error"] == "bad-argument"
     assert "--d" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, rest", [
+    (["weighted", "--gen", "quantum", "--q", "1/2", "--m", "40", "--deg", "1", "--mu", "[2]"],
+     "--m 40"),
+    (["verify", "--suite", "tau", "--ord", "1"], "--ord 1"),
+], ids=["weighted-m-for-mu", "verify-ord-for-order"])
+def test_abbreviated_flags_are_usage_errors(capsys, argv, rest):
+    # an abbreviation would read --m as --mu (then overwritten) and --ord as --order
+    code = run(argv)
+    out, err = capture(capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "bad-argument",
+                               "message": f"hurwitz-tau: unrecognized arguments: {rest}"}
 
 
 @pytest.mark.parametrize("argv, error", [

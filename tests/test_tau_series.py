@@ -51,24 +51,23 @@ def test_rho_values():
         rho(G1, 1, 0)
 
 
-def _rho_by_products(G, j, beta, M=None):
+def _rho_by_products(G, j, beta):
     # rho_j = beta^j prod_{i<=j} G(i beta), rho_{-j} = beta^{-j} / prod_{i<j} G(-i beta)
     value = beta ** j
     for i in range(1, j + 1):
-        value *= eval_weight_gen(G, i * beta, M)
+        value *= eval_weight_gen(G, i * beta)
     for i in range(1, -j):
-        value /= eval_weight_gen(G, -i * beta, M)
+        value /= eval_weight_gen(G, -i * beta)
     return value
 
 
 def test_rho_recurrence_identity():
     # numerically against the written-out products, formally by one factor
-    for G in (G1, GR, GQ):
-        M = 12 if G is GQ else None
+    for G in (G1, GR, WeightGen.quantum(F(1, 2), 12)):
         # asked upwards at beta = 1/11, downwards at beta = 2/9
         for beta, js in ((F(1, 11), range(-8, 9)), (F(2, 9), range(8, -9, -1))):
             for j in js:
-                assert rho(G, j, beta, M) == _rho_by_products(G, j, beta, M), (G.kind, j)
+                assert rho(G, j, beta) == _rho_by_products(G, j, beta), (G.kind, j)
     for G in (G1, GR, GQ):
         for j in range(1, 6):
             ej, sj = rho_formal(G, j, 6)
@@ -300,6 +299,24 @@ def test_integer_kernels_match_fraction_sum(G):
     assert list(single.items()) == list(_fraction_single_table(G, 5, 6).items())
 
 
+def _g_coeffs_by_series(G, J):
+    # prod (1 + c z) times the inverse of prod (1 - d z), as truncated series
+    num = BetaSeries.one(J)
+    for cl in G.c:
+        num = num * BetaSeries([1, cl], order=J)
+    den = BetaSeries.one(J)
+    for dm in G.d:
+        den = den * BetaSeries([1, -dm], order=J)
+    return (num * den.inv()).coeffs
+
+
+@pytest.mark.parametrize("G", [G for G in KERNEL_GENS if G.q is None],
+                         ids=lambda G: G.describe())
+def test_ratio_g_coeffs_match_series_product(G):
+    for J in range(17):
+        assert repr(g_coeffs(G, J)) == repr(_g_coeffs_by_series(G, J)), J
+
+
 def test_content_product_ladder_matches_r_lambda():
     expected = [lam for n in range(9) for lam in enumerate_partitions(n)]
     for G in KERNEL_GENS:
@@ -314,9 +331,8 @@ def test_content_product_ladder_matches_r_lambda():
 
 
 def test_tables_build_no_series_products(monkeypatch):
-    # the ladder runs on ints; only g_coeffs multiplies series
-    gs = g_coeffs(GR, 4)
-    monkeypatch.setattr(tau_series, "g_coeffs", lambda G, D: gs)
+    # the ladder and g_coeffs run without series products
+    g_coeffs.cache_clear()
 
     def refuse(self, other):
         raise AssertionError("BetaSeries product in a table build")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
@@ -50,11 +51,11 @@ def test_eval_weight_gen():
     q = WeightGen.quantum(F(1, 2))
     with pytest.raises(UsageError):
         eval_weight_gen(q, F(1, 4))  # needs M
-    assert eval_weight_gen(q, F(1, 2), M=0) == 2
+    assert eval_weight_gen(replace(q, M=0), F(1, 2)) == 2
     with pytest.raises(SingularParameterError):
-        eval_weight_gen(q, 2, M=3)  # 1 - q*2 = 0
+        eval_weight_gen(replace(q, M=3), 2)  # 1 - q*2 = 0
     with pytest.raises(UsageError) as exc:
-        eval_weight_gen(q, F(1, 4), M=-1)  # an empty product is not G
+        eval_weight_gen(replace(q, M=-1), F(1, 4))  # an empty product is not G
     assert exc.value.code == "bad-truncation"
 
 
@@ -77,18 +78,18 @@ def test_quantum_eval_matches_fraction_loop():
     xs = [F(i, 23) for i in range(-30, 31)] + [F(3, 7), F(-5, 11), F(2), F(4), F(8)]
     evaluated = poles = 0
     for q in (F(1, 2), F(-1, 2), F(2, 3), F(-7, 10), F(9, 10)):
-        G = WeightGen.quantum(q)
         for M in (0, 1, 5, 12, 40):
+            G = WeightGen.quantum(q, M)
             for x in xs:
                 want = quantum_product_by_fractions(q, x, M)
                 evaluated += 1
                 if isinstance(want, F):
-                    got = eval_weight_gen(G, x, M)
+                    got = eval_weight_gen(G, x)
                     assert type(got) is F and got == want, (q, M, x)
                     continue
                 poles += 1
                 with pytest.raises(SingularParameterError) as exc:
-                    eval_weight_gen(G, x, M)
+                    eval_weight_gen(G, x)
                 assert exc.value.code == "weight-gen-pole"
                 assert str(exc.value) == f"pole of quantum weight function: 1 - q^{want}*({x}) = 0"
     assert (evaluated, poles) == (1650, 38)
@@ -381,10 +382,10 @@ def test_generating_functions_are_one_at_zero():
         WeightGen.trivial(),
         WeightGen.finite_product([F(2), F(-1, 3)]),
         WeightGen.rational([F(1)], [F(1, 3)]),
-        WeightGen.quantum(F(1, 2)),
+        WeightGen.quantum(F(1, 2), 10),
     ):
         assert g_coeffs(G, 5)[0] == 1
-        assert eval_weight_gen(G, 0, M=10) == 1
+        assert eval_weight_gen(G, 0) == 1
 
 
 def test_weighted_hurwitz_symmetry():
