@@ -5,6 +5,10 @@ as a truncated formal object in beta: a table mapping (mu, nu, beta-power)
 to exact rational coefficients.  Extracting an entry and comparing with the
 direct weighted count in :mod:`.weights` is the package's central dual-path
 check.
+
+The tables are character sums over an integer content-product ladder
+(:func:`_integer_ladder`), taken once for every beta-degree on rows packed
+into single ints (:func:`_packed_ladder`) and split back by :func:`_unpack`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import factorial, lcm, prod
+from operator import mul
 
 from .algebra import BetaSeries
 from .characters import character_table, powersum_numerators
@@ -104,6 +109,48 @@ def _cleared(values) -> tuple[list[int], int]:
     return [v.numerator * (L // v.denominator) for v in values], L
 
 
+def _pack(row: list[int], S: int) -> int:
+    """sum_d row[d] 2^(S d): the ints of row as S-bit slots of one int
+    (Kronecker substitution); :func:`_unpack` is its inverse."""
+    P = 0
+    for a in reversed(row):
+        P = (P << S) + a
+    return P
+
+
+def _packed_ladder(ladder: list[list[int]], n: int) -> tuple[list[int], int]:
+    """Rows a_0..a_D, one per lambda of weight n, each packed by
+    :func:`_pack`, and their slot width S.
+
+    A character sum of packed rows packs the sums of each degree, and
+    :func:`_unpack` splits it while every sum is below 2^(S-1) in size.
+    S = bitlen(max|a|) + bitlen(n!) + 2 keeps every sum below 2^(S-2): by
+    column orthogonality, sum_lam chi_lam(mu)^2 = z_mu, so Cauchy-Schwarz gives
+        |sum_lam a_lam chi_lam(mu) chi_lam(nu)| <= max|a| sqrt(z_mu z_nu) <= max|a| n!,
+        |sum_lam a_lam chi_lam(mu)| <= max|a| sqrt(p(n) z_mu) <= max|a| n!,
+    since z_mu and the number p(n) of lambdas are at most n!.
+    """
+    top = max(abs(a) for row in ladder for a in row)
+    S = top.bit_length() + factorial(n).bit_length() + 2
+    return [_pack(row, S) for row in ladder], S
+
+
+def _unpack(P: int, S: int, count: int) -> list[int]:
+    """The signed digits t_0..t_{count-1} of P = sum_d t_d 2^(S d), each in
+    [-2^(S-1), 2^(S-1)).
+
+    Reads P's base-2^S digits (two's complement when P < 0) from the
+    bottom; a digit in the upper half is negative and carries one up.
+    """
+    mask, half = (1 << S) - 1, 1 << (S - 1)
+    digits, carry = [], 0
+    for shift in range(0, S * count, S):
+        t = (P >> shift & mask) + carry
+        carry = t >= half
+        digits.append(t - (carry << S))
+    return digits
+
+
 @cache
 def _rho_ladder(G: WeightGen, beta: Fraction, sign: int) -> list[Fraction]:
     """The rho values known so far, grown in place by :func:`rho`.
@@ -179,22 +226,33 @@ class TauTable:
 
 
 def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
-    """Expand the double Schur series through weight Nmax and beta-order D."""
+    """Expand the double Schur series through weight Nmax and beta-order D.
+
+    Entry (mu, nu, n + d) is sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) over
+    B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  The sum is
+    taken once for every degree, on ints packed by :func:`_packed_ladder`,
+    and once for each unordered pair: the entry at (nu, mu) is the same
+    Fraction object.
+    """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
     A, B = _integer_ladder(G, D, Nmax)
     coeffs: dict = {}
     for n in range(Nmax + 1):
         rows = character_table(n)
-        # entry (mu, nu, n + d) = sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) / (B_d z_mu z_nu)
-        cols = [[A[lam][d] for lam, _, _ in rows] for d in range(D + 1)]
-        for mu, chi, zm in rows:
-            totals = [powersum_numerators([a * c for a, c in zip(ints, chi)], rows)
-                      for ints in cols]
-            for k, (nu, _, zn) in enumerate(rows):
-                for d, L in enumerate(B):
-                    if totals[d][k]:
-                        coeffs[(mu, nu, n + d)] = Fraction(totals[d][k], L * zm * zn)
+        packed, S = _packed_ladder([A[lam] for lam, _, _ in rows], n)
+        upper = []  # upper[j][k - j]: the nonzero (n + d, entry) of rows j <= k
+        for j, (mu, chi, zm) in enumerate(rows):
+            later = rows[j:]
+            weighted = list(map(mul, packed, chi))
+            upper.append([
+                [(n + d, Fraction(t, L * zm * zn))
+                 for d, (t, L) in enumerate(zip(_unpack(total, S, D + 1), B)) if t]
+                for (_, _, zn), total in zip(later, powersum_numerators(weighted, later))
+            ])
+            for k, (nu, _, _) in enumerate(rows):
+                for e, v in (upper[k][j - k] if k < j else upper[j][k - j]):
+                    coeffs[(mu, nu, e)] = v
     return TauTable(G, D, Nmax, coeffs)
 
 
@@ -235,11 +293,11 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
         h = [hook_product(lam) for lam, _, _ in rows]
         H = lcm(*h)
         # entry (mu, d) = sum_lam A_lam[d] (H / h_lam) chi_lam(mu) / (B_d H z_mu)
-        totals = [powersum_numerators([A[lam][d] * (H // hl) for (lam, _, _), hl in zip(rows, h)],
-                                      rows) for d in range(D + 1)]
-        for k, (mu, _, zm) in enumerate(rows):
-            for d, L in enumerate(B):
-                out[(mu, d)] = Fraction(totals[d][k], L * H * zm)
+        packed, S = _packed_ladder([[a * (H // hl) for a in A[lam]]
+                                    for (lam, _, _), hl in zip(rows, h)], n)
+        for (mu, _, zm), total in zip(rows, powersum_numerators(packed, rows)):
+            for d, (t, L) in enumerate(zip(_unpack(total, S, D + 1), B)):
+                out[(mu, d)] = Fraction(t, L * H * zm)
     return out
 
 

@@ -65,7 +65,7 @@ class WeightGen:
         if self.kind == "trivial":
             return "trivial"
         if self.kind == "quantum":
-            return f"quantum(q={self.q})"
+            return f"quantum(q={self.q})" if self.M is None else f"quantum(q={self.q}, M={self.M})"
         cs = ",".join(str(x) for x in self.c)
         ds = ",".join(str(x) for x in self.d)
         return f"{self.kind}(c=[{cs}], d=[{ds}])"

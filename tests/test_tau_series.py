@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau import tau_series
+from hurwitz_tau import cli, tau_series
 from hurwitz_tau.algebra import BetaSeries
 from hurwitz_tau.characters import _character
 from hurwitz_tau.cli import run
@@ -18,6 +18,9 @@ from hurwitz_tau.partitions import (
 from hurwitz_tau.tau_series import (
     _content_series,
     _integer_ladder,
+    _pack,
+    _packed_ladder,
+    _unpack,
     extract_H,
     r_lambda,
     rho,
@@ -290,13 +293,50 @@ def _fraction_single_table(G, D, Nmax):
     return out
 
 
+def _assert_kernels_match_fraction_sum(G, D, Nmax):
+    # values and insertion order: mu, then nu, then e
+    table = tau_double_table(G, D, Nmax)
+    assert list(table.coeffs.items()) == list(_fraction_double_table(G, D, Nmax).items())
+    single = tau_single_table(G, D, Nmax)
+    assert list(single.items()) == list(_fraction_single_table(G, D, Nmax).items())
+
+
 @pytest.mark.parametrize("G", KERNEL_GENS, ids=lambda G: G.describe())
 def test_integer_kernels_match_fraction_sum(G):
-    # values and insertion order: mu, then nu, then e
-    table = tau_double_table(G, 5, 6)
-    assert list(table.coeffs.items()) == list(_fraction_double_table(G, 5, 6).items())
-    single = tau_single_table(G, 5, 6)
-    assert list(single.items()) == list(_fraction_single_table(G, 5, 6).items())
+    _assert_kernels_match_fraction_sum(G, 5, 6)
+
+
+# wide signed digits: the ladder rows of c = (-7/3, 5/2), d = (9/11) and of
+# q = -7/10 change sign, and at |lambda| = 8 their character sums take 8 of
+# the 16 bits the n! term adds to the slot width (the trivial G, above, 15)
+WIDE_GENS = (WeightGen.rational([F(-7, 3), F(5, 2)], [F(9, 11)]), WeightGen.quantum(F(-7, 10)))
+
+
+@pytest.mark.parametrize("G", WIDE_GENS, ids=lambda G: G.describe())
+def test_packed_kernels_match_fraction_sum_on_wide_digits(G):
+    _assert_kernels_match_fraction_sum(G, 6, 8)
+
+
+def test_pack_unpack_round_trip():
+    for S in (3, 4, 17, 64, 65):
+        edge = (1 << (S - 2)) - 1
+        rows = [
+            [edge, -edge, edge, -edge],
+            [-edge, 0, 0, edge, 0, -edge],   # zero digits between nonzero ones
+            [1, 0, -1],                      # negative top digit
+            [0, 0, -edge],
+            [-(1 << (S - 1)), (1 << (S - 1)) - 1, -1],  # the ends of the digit range
+            [0],
+        ]
+        for row in rows:
+            assert _unpack(_pack(row, S), S, len(row)) == row, (S, row)
+    # a character sum of packed rows splits into the sums of each degree
+    rows = [[5, -3, 0], [-7, 0, 2], [1, 1, -1]]
+    packed, S = _packed_ladder(rows, 3)
+    assert S == 3 + 3 + 2
+    chi = [2, -1, 3]
+    total = sum(P * c for P, c in zip(packed, chi))
+    assert _unpack(total, S, 3) == [sum(r[d] * c for r, c in zip(rows, chi)) for d in range(3)]
 
 
 def _g_coeffs_by_series(G, J):
@@ -358,6 +398,29 @@ def test_verify_tau_negative_control(monkeypatch, capsys):
     monkeypatch.setattr(tau_series, "g_coeffs", shifted)
     assert run(argv) == 1
     assert f"FAIL {name}" in capsys.readouterr().out
+
+
+def test_verify_tau_mirrored_half_negative_control(monkeypatch, capsys):
+    # the table gives (nu, mu) the entry of (mu, nu), so its symmetry holds by
+    # construction; a wrong lower-half entry shows in the comparison with the
+    # direct counts, which reads every ordered pair
+    argv = ["verify", "--suite", "tau", "--gen", "rational", "--c", "1",
+            "--d", "1/3", "--nmax", "3", "--order", "3"]
+    key = ((1, 1, 1), (2, 1), 4)  # (1,1,1) comes after (2,1)
+    assert enumerate_partitions(3).index(key[0]) > enumerate_partitions(3).index(key[1])
+    build = tau_series.tau_double_table
+
+    def perturbed(G, D, Nmax):
+        table = build(G, D, Nmax)
+        table.coeffs[key] += F(1, 2 ** 50)
+        return table
+
+    monkeypatch.setattr(cli, "tau_double_table", perturbed)
+    assert run(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("FAIL series coefficients = direct weighted counts: "
+                        "60 (mu, nu, d) cases, |mu| <= 3, d <= 3")
+    assert lines[-2:] == ["FAIL table is symmetric in (mu, nu)", "FAILURES: 2"]
 
 
 @settings(max_examples=20, deadline=None)

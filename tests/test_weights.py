@@ -72,6 +72,12 @@ def quantum_product_by_fractions(q, x, M):
     return val
 
 
+def test_describe_names_the_truncation():
+    assert WeightGen.quantum(F(1, 2)).describe() == "quantum(q=1/2)"
+    assert WeightGen.quantum(F(1, 2), 40).describe() == "quantum(q=1/2, M=40)"
+    assert WeightGen.quantum(F(-7, 10), 0).describe() == "quantum(q=-7/10, M=0)"
+
+
 def test_quantum_eval_matches_fraction_loop():
     # the integer product must give the same value, and at a pole the same
     # error naming the same first vanishing factor
