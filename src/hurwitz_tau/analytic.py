@@ -25,7 +25,7 @@ from .errors import (
     UsageError,
 )
 from .partitions import hook_product, partitions_up_to
-from .tau_series import _numeric_content_products, rho
+from .tau_series import _cleared, _numeric_content_products, _rho_ladder, rho
 from .weights import WeightGen, eval_weight_gen
 
 
@@ -68,18 +68,22 @@ def phi_k(G: WeightGen, beta, k: int, J: int) -> PhiSeries:
 
     Coefficient j is beta^(1-j) rho_{j-k} / j!  attached to x^(1-k+j).
     Raises a singular-parameter error if any required rho value hits a
-    vanishing G(-i beta) or a pole of G.
+    vanishing G(-i beta) or a pole of G.  The coefficients are kept with
+    the rho ladder at (G, beta), so a longer series only extends them.
     """
     if k < 1:
         raise UsageError("basis index k must be >= 1", code="bad-index")
     if J < 0:
         raise UsageError("series order must be >= 0", code="bad-order")
     beta = Fraction(beta)
-    coeffs = []
-    for j in range(J + 1):
-        r = rho(G, j - k, beta)
-        coeffs.append(beta ** (1 - j) * r / factorial(j))
-    return PhiSeries(k, beta, 1 - k, tuple(coeffs))
+    coeffs = _rho_ladder(G, beta).phi.setdefault(k, [])
+    if len(coeffs) <= J:
+        # the weight beta^(1-j) / j! of coefficient j, stepped along
+        w = beta ** (1 - len(coeffs)) / factorial(len(coeffs))
+        for j in range(len(coeffs), J + 1):
+            coeffs.append(w * rho(G, j - k, beta))
+            w /= beta * (j + 1)
+    return PhiSeries(k, beta, 1 - k, tuple(coeffs[:J + 1]))
 
 
 def max_regular_order(G: WeightGen, beta, k: int, J: int,
@@ -88,17 +92,23 @@ def max_regular_order(G: WeightGen, beta, k: int, J: int,
 
     Returns (order, reason); reason is None when the full window is regular.
     A singularity among the negative-index rho values (j < k) makes the
-    series unconstructible and is re-raised.
+    series unconstructible and is re-raised.  Only the rho values the
+    ladder does not hold yet are computed, one index at a time, so a
+    reason names the first singular index.
     """
     G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
     beta = Fraction(beta)
-    for j in range(J + 1):
+    if J < 0:
+        return J, None
+    held = len(_rho_ladder(G, beta).pos)
+    # rho_{-k} first, as phi_k is built: it grows the whole negative side
+    for i in (-k, *range(max(held, 1 - k), J - k + 1)):
         try:
-            rho(G, j - k, beta)
+            rho(G, i, beta)
         except SingularParameterError as exc:
-            if j - k < 0:
+            if i < 0:
                 raise
-            return j - 1, str(exc)
+            return i + k - 1, str(exc)
     return J, None
 
 
@@ -170,7 +180,9 @@ def check_recursion(G: WeightGen, beta, k: int, J: int,
 
     Checks every coefficient both truncated series can supply; when the rho
     ladder hits a singular value the comparison stops at the last regular
-    order and the report says so.
+    order and the report says so.  Both sides of the x^m coefficient read
+    the same rho_{m-1}, so this checks how phi is built from rho (the beta
+    powers and factorials), not rho itself.
     """
     if k < 2:
         raise UsageError("recursion check needs k >= 2 so both indices are >= 1",
@@ -226,18 +238,21 @@ def ode_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
         )
     k, beta = p.k, p.beta
     kappa = _kappa(G, beta)
+    # the factors are s - 1 - 1/(beta d_m) = s - u_m and s - 1 + 1/(beta c_l) = s + v_l
+    u = [1 + 1 / (beta * dm) for dm in G.d]
+    v = [1 / (beta * cl) - 1 for cl in G.c]
     out = []
     for j in range(p.order + 1):
         s = p.lead_exp + j
         second = (s + k - 1) * p.coeff(j)
-        for dm in G.d:
-            second *= s - 1 - 1 / (beta * dm)
+        for um in u:
+            second *= s - um
         if j == 0:
             out.append(second)
             continue
         first = kappa * p.coeff(j - 1)
-        for cl in G.c:
-            first *= s - 1 + 1 / (beta * cl)
+        for vl in v:
+            first *= s + vl
         out.append(_difference(second, first))
     return out
 
@@ -247,7 +262,10 @@ def check_spectral(G: WeightGen, beta, k: int, J: int,
     """Verify (x G(beta D) - D) phi_k = (k-1) phi_k termwise.
 
     For ratio-type G with nonzero c parameters the cleared-denominator ODE
-    form is verified as well on the same window.
+    form is verified as well on the same window.  The symbol form holds
+    exactly when rho_m = beta G(m beta) rho_{m-1}, which restates the rule
+    the ladder grows by; only the cleared ODE form, whose factors are built
+    from the parameters of G, checks rho from outside the ladder.
     """
     if k < 1:
         raise UsageError("basis index k must be >= 1", code="bad-index")
@@ -274,31 +292,40 @@ def vandermonde(xs) -> Fraction:
     return val
 
 
-def exact_det(matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination, exact."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise UsageError("determinant needs a square matrix", code="bad-matrix")
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free (Bareiss)
+    elimination; every division is exact.  The rows are overwritten."""
+    n = len(rows)
+    sign, prev = 1, 1
     for p in range(n - 1):
-        if a[p][p] == 0:
+        if rows[p][p] == 0:
             for i in range(p + 1, n):
-                if a[i][p] != 0:
-                    a[p], a[i] = a[i], a[p]
+                if rows[i][p] != 0:
+                    rows[p], rows[i] = rows[i], rows[p]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        for i in range(p + 1, n):
-            for j in range(p + 1, n):
-                a[i][j] = (a[i][j] * a[p][p] - a[i][p] * a[p][j]) / prev
-            a[i][p] = Fraction(0)
-        prev = a[p][p]
-    return sign * a[n - 1][n - 1]
+                return 0
+        pivot, tail = rows[p][p], rows[p][p + 1:]
+        # columns <= p of the rows below are never read again
+        for row in rows[p + 1:]:
+            f = row[p]
+            row[p + 1:] = [(a * pivot - f * b) // prev for a, b in zip(row[p + 1:], tail)]
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
+
+
+def exact_det(matrix) -> Fraction:
+    """Determinant, exact: each row is cleared to ints over the lcm of its
+    denominators, and the int determinant is divided by their product."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
+        raise UsageError("determinant needs a square matrix", code="bad-matrix")
+    scale = 1
+    for i, row in enumerate(rows):
+        rows[i], L = _cleared(row)
+        scale *= L
+    return Fraction(_int_det(rows), scale)
 
 
 def det_rep_calibration(n: int) -> int:
@@ -412,14 +439,27 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int, max_deg: int | None = No
     phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
     pref = _rho_prefactor(G, beta, n)
     top = 1 - n + J if max_deg is None else min(max_deg, 1 - n + J)
+    # one row per phi_i: its coefficients of x^(1-n) .. x^top, the powers the
+    # minors read; x^m sits in column m + n - 1
+    coeffs = [[p.power_coeff(m) for m in range(1 - n, top + 1)] for p in phis]
+    cleared = {}  # last column c -> rows through c cleared to ints, and their scale
     out = {}
     for lam in partitions_up_to(top, n):
         parts = lam + (0,) * (n - len(lam))
-        # c_i(m) is the coefficient of x^(m - n + 1) in phi_i
-        minor = exact_det([[p.power_coeff(parts[j] - j) for j in range(n)]
-                           for p in phis])
+        cols = [parts[j] - j + n - 1 for j in range(n)]
+        # the denominators grow with the power, so a minor's rows are cleared
+        # only through its last column, cols[0]
+        if cols[0] not in cleared:
+            rows, scale = [], pref.denominator
+            for row in coeffs:
+                ints, L = _cleared(row[:cols[0] + 1])
+                rows.append(ints)
+                scale *= L
+            cleared[cols[0]] = rows, scale
+        rows, scale = cleared[cols[0]]
+        minor = _int_det([[row[c] for c in cols] for row in rows])
         if minor:
-            out[lam] = pref * minor
+            out[lam] = Fraction(pref.numerator * minor, scale)
     return out
 
 

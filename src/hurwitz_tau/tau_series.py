@@ -13,7 +13,7 @@ into single ints (:func:`_packed_ladder`) and split back by :func:`_unpack`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -151,13 +151,26 @@ def _unpack(P: int, S: int, count: int) -> list[int]:
     return digits
 
 
-@cache
-def _rho_ladder(G: WeightGen, beta: Fraction, sign: int) -> list[Fraction]:
-    """The rho values known so far, grown in place by :func:`rho`.
+@dataclass
+class _Ladder:
+    """What is known so far at one (G, beta), grown in place.
 
-    sign 1 holds rho_0, rho_1, ...; sign -1 holds rho_{-1}, rho_{-2}, ...
+    pos holds rho_0, rho_1, ...; neg holds rho_{-1}, rho_{-2}, ...; both
+    are grown by :func:`rho`.  phi[k] holds the coefficients of phi_k found
+    so far, grown by :func:`.analytic.phi_k`.
     """
-    return [Fraction(1)] if sign > 0 else [1 / beta]
+
+    pos: list[Fraction]
+    neg: list[Fraction]
+    phi: dict[int, list[Fraction]] = field(default_factory=dict)
+
+
+@cache
+def _rho_ladder(G: WeightGen, beta: Fraction) -> _Ladder:
+    """The one record of rho values and phi prefixes at (G, beta)."""
+    if beta == 0:
+        raise UsageError("beta must be nonzero", code="bad-beta")
+    return _Ladder([Fraction(1)], [1 / beta])
 
 
 @cache
@@ -170,10 +183,9 @@ def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
     next to it on the ladder by a single factor of G.
     """
     beta = Fraction(beta)
-    if beta == 0:
-        raise UsageError("beta must be nonzero", code="bad-beta")
+    record = _rho_ladder(G, beta)
     if j >= 0:
-        ladder = _rho_ladder(G, beta, 1)
+        ladder = record.pos
         while len(ladder) <= j:
             i = len(ladder)
             try:
@@ -185,7 +197,7 @@ def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
                 ) from exc
             ladder.append(ladder[-1] * beta * g)
         return ladder[j]
-    ladder = _rho_ladder(G, beta, -1)
+    ladder = record.neg
     while len(ladder) < -j:
         # ladder[i - 1] is rho_{-i}; the next value divides by G(-i beta)
         i = len(ladder)

@@ -1,10 +1,12 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
-from math import factorial
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
-from hurwitz_tau import analytic
+from hurwitz_tau import analytic, tau_series
 from hurwitz_tau.analytic import (
     calibrate_det_exponent,
     check_recursion,
@@ -108,6 +110,28 @@ def test_spectral_negative_control():
     assert any(r != 0 for r in ode_residuals(bad, GR))
 
 
+@pytest.fixture
+def cold_ladder():
+    """Empty rho ladders and phi prefixes before and after the test."""
+    tau_series._rho_ladder.cache_clear()
+    tau_series.rho.cache_clear()
+    yield
+    tau_series._rho_ladder.cache_clear()
+    tau_series.rho.cache_clear()
+
+
+def test_spectral_catches_one_wrong_rho(cold_ladder, monkeypatch):
+    # rho_3 off by 2^-50 as phi_k reads it: the symbol form compares it with
+    # G(3 beta) rho_2 and must fail; the recursion line reads rho_3 on both
+    # sides, so it cannot see it (check_recursion's docstring)
+    real = analytic.rho
+    monkeypatch.setattr(analytic, "rho",
+                        lambda G, j, beta: real(G, j, beta) * (1 + F(1, 2 ** 50) * (j == 3)))
+    for k in (2, 3, 4):
+        assert not check_spectral(GR, F(1, 8), k, 24).ok
+        assert check_recursion(GR, F(1, 8), k, 24).ok
+
+
 def test_kappa_example():
     # c=(1), d=(1/2), beta=1: kappa = (-1)^1 * (1*1)/(1*(1/2)) = -2
     from hurwitz_tau.analytic import _kappa
@@ -159,6 +183,77 @@ def test_window_capping_matches_pole_location():
         check_recursion(GR, F(1, 3), 4, 10)
 
 
+def _outcome(call):
+    try:
+        return call()
+    except (SingularParameterError, UsageError) as exc:
+        return type(exc), exc.code, str(exc)
+
+
+# (G, beta): two ladders regular through order 24; a pole of G capping the
+# window at rho_21 (3/beta) and at rho_23 (quantum, 1/beta); and at beta = 1/3
+# both G(-3 beta) = 0 and a pole at rho_9
+MEMO_CASES = [(GT, F(1, 8)), (WeightGen.finite_product([1, F(1, 2), F(-1, 3)]), F(-1, 8)),
+              (GR, F(1, 7)), (GR, F(1, 3)), (replace(GQ, M=40), F(1, 23))]
+
+
+@pytest.mark.parametrize("G, beta", MEMO_CASES,
+                         ids=[f"{G.describe()}-{beta}" for G, beta in MEMO_CASES])
+def test_phi_prefix_memo_warm_equals_cold(G, beta, cold_ladder):
+    # phi_k and max_regular_order give the same values, or the same error
+    # class, code and message, on an empty ladder and after a longer or a
+    # shorter call at the same (G, beta)
+    def both(k, J):
+        return (_outcome(lambda: phi_k(G, beta, k, J)),
+                _outcome(lambda: max_regular_order(G, beta, k, J)))
+
+    outcomes = set()
+    for k in range(1, 7):
+        for J in (0, 5, 24):
+            tau_series._rho_ladder.cache_clear()
+            tau_series.rho.cache_clear()
+            cold = both(k, J)
+            for earlier in (J + 6, J // 2):
+                tau_series._rho_ladder.cache_clear()
+                tau_series.rho.cache_clear()
+                both(k, earlier)
+                assert both(k, J) == cold, (k, J, earlier)
+            if G.kind == "quantum":
+                # the pole at 1/beta = 23 caps phi_1 at order 23
+                want = "capped" if (k, J) == (1, 24) else "full"
+            elif beta < 0:
+                want = "full"
+            else:
+                want = predicted_window(G, beta, k, J).outcome
+            mro = cold[1]
+            got = ("singular" if mro[0] is SingularParameterError else
+                   "capped" if mro[1] is not None else "full")
+            assert got == want, (k, J)
+            # phi_k to J raises unless the whole window is regular
+            assert isinstance(cold[0], tuple) == (got != "full")
+            outcomes.add(got)
+    if beta == F(1, 3):
+        assert outcomes == {"full", "capped", "singular"}
+
+
+def test_phi_memo_keeps_no_perturbation(cold_ladder, monkeypatch):
+    # the memo hands out tuples: a phi_k patched to perturb its output, and
+    # the determinant routes built on it, leave the kept prefixes as they are
+    want = [phi_k(GR, F(1, 7), k, 12) for k in (1, 2, 3)]
+    real = analytic.phi_k
+
+    def perturbed(G, beta, k, J):
+        p = real(G, beta, k, J)
+        return replace(p, coeffs=(p.coeff(0) + 1,) + p.coeffs[1:])
+
+    monkeypatch.setattr(analytic, "phi_k", perturbed)
+    tau_det_polynomial(GR, F(1, 7), 3, 12)
+    assert perturbed(GR, F(1, 7), 2, 12) != want[1]
+    monkeypatch.undo()
+    assert [phi_k(GR, F(1, 7), k, 12) for k in (1, 2, 3)] == want
+    assert [phi_k(GR, F(1, 7), k, 5).coeffs for k in (1, 2, 3)] == [p.coeffs[:6] for p in want]
+
+
 def test_vandermonde():
     assert vandermonde([F(5)]) == 1
     assert vandermonde([2, 1]) == 1
@@ -175,6 +270,54 @@ def test_exact_det():
     assert exact_det([[0, 1, 2], [1, 0, 1], [2, 1, 0]]) == 4
     with pytest.raises(UsageError):
         exact_det([[1, 2]])
+
+
+def leibniz_det(matrix):
+    """sum over permutations of sign * prod m[i][perm[i]]."""
+    total = F(0)
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * prod((matrix[i][c] for i, c in enumerate(perm)), start=F(1))
+    return total
+
+
+def test_exact_det_against_leibniz():
+    rng = random.Random(20)
+
+    def entry(bits=8):
+        return F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+
+    cases = []
+    for n in range(6):
+        cases += [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(4)]
+        # integer and mostly-zero entries
+        cases.append([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+        cases.append([[rng.choice((F(0), F(0), entry())) for _ in range(n)] for _ in range(n)])
+    for n in range(2, 6):
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        # singular: one row a combination of two others, or a zero column
+        m_dep = m[:-1] + [[a - 3 * b for a, b in zip(m[0], m[1])]]
+        m_col = [row[:-1] + [F(0)] for row in m]
+        # zero first pivot: the elimination must swap rows
+        m_swap = [[F(0)] + m[0][1:]] + m[1:]
+        cases += [m_dep, m_col, m_swap]
+    # 10k-bit entries of both signs: fractions, and ints where the oracle is quick
+    for n in (2, 3):
+        cases.append([[F(rng.choice((1, -1)) * rng.getrandbits(10_000), rng.getrandbits(10_000) | 1)
+                       for _ in range(n)] for _ in range(n)])
+    cases.append([[F(rng.getrandbits(10_000) - rng.getrandbits(10_000)) for _ in range(5)]
+                  for _ in range(5)])
+    zeros = 0
+    for m in cases:
+        want = leibniz_det(m)
+        zeros += want == 0
+        assert exact_det(m) == want
+        assert exact_det([[int(x) if x.denominator == 1 else x for x in row] for row in m]) == want
+    assert zeros >= 12  # the singular cases really are singular
+    with pytest.raises(UsageError) as err:
+        exact_det([[1, 2], [3]])
+    assert err.value.code == "bad-matrix"
 
 
 def test_det_rep_input_validation():
