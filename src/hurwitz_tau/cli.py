@@ -498,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="largest sheet count for the oracle sweep")
     p.add_argument("--m", type=int, help="quantum product truncation M")
     p.set_defaults(func=_cmd_verify)
+    parser.commands = sub.choices
     return parser
 
 
@@ -509,8 +510,17 @@ def run(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser.parse_args(argv)
+        command = _parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = _parser.parse_args(argv)
+        else:
+            # a known subcommand parses its own flags, as argparse's subparser
+            # step would, and what is left over is the top-level error
+            args, rest = command.parse_known_args(argv[1:])
+            if rest:
+                _parser.error(f"unrecognized arguments: {' '.join(rest)}")
         return args.func(args)
     except HurwitzTauError as exc:
         print(_emit_json({"error": exc.code, "message": str(exc)}), file=sys.stderr)

@@ -55,6 +55,12 @@ class ProfileTuple:
         return sum(colength(p) for p in self.profiles)
 
 
+@cache
+def _hook_products(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(lam, h(lam)) for every partition of n, in enumeration order."""
+    return tuple((lam, hook_product(lam)) for lam in enumerate_partitions(n))
+
+
 def hurwitz_number(pt: ProfileTuple) -> Fraction:
     """Character-sum evaluation: sum_lam h(lam)^(k-2) prod_j chi/z.
 
@@ -68,8 +74,8 @@ def hurwitz_number(pt: ProfileTuple) -> Fraction:
         raise UsageError("need at least one ramification profile", code="empty-profiles")
     scale = 1 if k >= 2 else factorial(pt.N)
     total = 0
-    for lam in enumerate_partitions(pt.N):
-        term = hook_product(lam) ** (k - 2) if k >= 2 else scale // hook_product(lam)
+    for lam, h in _hook_products(pt.N):
+        term = h ** (k - 2) if k >= 2 else scale // h
         for p in pt.profiles:
             term *= _character(lam, p)
         total += term

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, groupby
 from math import factorial
 
@@ -105,19 +105,24 @@ def g_coeffs(G: WeightGen, J: int) -> tuple[Fraction, ...]:
 def eval_weight_gen(G: WeightGen, x: Fraction) -> Fraction:
     """Exact value G(x); the quantum product is truncated at index ``G.M``."""
     x = Fraction(x)
+    u, v = x.numerator, x.denominator
     if G.q is None:
-        val = Fraction(1)
+        # with c = a/b, 1 + c x = (b v + a u) / (b v); with d = e/f,
+        # 1 / (1 - d x) = f v / (f v - e u): both products on ints, reduced once
+        num = den = 1
         for cl in G.c:
-            val *= 1 + cl * x
+            num *= cl.denominator * v + cl.numerator * u
+            den *= cl.denominator * v
         for dm in G.d:
-            den = 1 - dm * x
-            if den == 0:
+            factor = dm.denominator * v - dm.numerator * u
+            if factor == 0:
                 raise SingularParameterError(
                     f"pole of weight generating function: 1 - ({dm})*({x}) = 0",
                     code="weight-gen-pole",
                 )
-            val /= den
-        return val
+            num *= dm.denominator * v
+            den *= factor
+        return Fraction(num, den)
     M = G.M
     if M is None:
         raise UsageError(
@@ -130,7 +135,6 @@ def eval_weight_gen(G: WeightGen, x: Fraction) -> Fraction:
     # with q = a/b and x = u/v, factor i is b^i v / (b^i v - a^i u): build
     # both products on ints and reduce once
     a, b = G.q.numerator, G.q.denominator
-    u, v = x.numerator, x.denominator
     den = 1
     ai, biv = 1, v
     for i in range(M + 1):
@@ -305,10 +309,33 @@ def _checked_query(d: int, mu, nu) -> tuple[Partition, Partition, bool]:
     return mu, nu, (d + colength(mu) + colength(nu)) % 2 == 1
 
 
+@lru_cache(maxsize=256)
+def _weighed_configs(G: WeightGen, N: int, d: int) -> tuple[tuple, ...]:
+    """(profiles, arrangements, W) for each multiset of ``profile_multisets(N, d)``
+    with a nonzero weight W, kept for the 256 most recently used (G, N, d).
+
+    W depends on the profiles only through their colengths, so it is taken
+    once per sorted colength multiset.  A weight factor swapped in after a
+    count is not seen until ``_weighed_configs.cache_clear()``.
+    """
+    weighed: dict[tuple[int, ...], Fraction] = {}
+    out = []
+    for profiles, arr in profile_multisets(N, d):
+        key = tuple(sorted(colength(p) for p in profiles))
+        if key not in weighed:
+            weighed[key] = (quantum_weight_factor(G.q, profiles) if G.q is not None
+                            else rational_weight_factor(G.c, G.d, profiles))
+        if weighed[key]:
+            out.append((profiles, arr, weighed[key]))
+    return tuple(out)
+
+
 def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
     """All contributing profile configurations for H^d_G(mu, nu), one per
     multiset of profiles of total colength d with a nonzero weight.
 
+    The multisets and weights come from the bounded ``_weighed_configs``
+    cache (256 (G, N, d) lists); each base count is a fresh character sum.
     At an odd total colength each base count is 0 by parity and is not summed.
     """
     mu, nu, odd = _checked_query(d, mu, nu)
@@ -322,13 +349,8 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
     if d == 0:
         return [WeightedTerm((), (), 1, Fraction(1), count(()))]
 
-    terms: list[WeightedTerm] = []
-    for profiles, arr in profile_multisets(N, d):
-        w = (quantum_weight_factor(G.q, profiles) if G.q is not None
-             else rational_weight_factor(G.c, G.d, profiles))
-        if w:
-            terms.append(WeightedTerm(profiles, (), arr, w, count(profiles)))
-    return terms
+    return [WeightedTerm(profiles, (), arr, w, count(profiles))
+            for profiles, arr, w in _weighed_configs(G, N, d)]
 
 
 def weighted_hurwitz(G: WeightGen, d: int, mu, nu) -> Fraction:

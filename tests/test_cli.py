@@ -450,6 +450,23 @@ def test_parser_built_once(capsys, monkeypatch):
     assert built == [1]
 
 
+DISPATCH = json.loads((Path(__file__).parent / "data" / "cli_dispatch.json").read_text())
+
+
+@pytest.mark.parametrize("case", DISPATCH, ids=lambda case: " ".join(case["argv"]) or "empty")
+def test_dispatch_output_is_unchanged(capsys, monkeypatch, case):
+    # usage errors and help text, recorded when the top-level parser still
+    # parsed every argv: a known subcommand now parses its own flags, and the
+    # bytes on stdout and stderr and the exit code must not move
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = run(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capture(capsys)
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -546,7 +563,15 @@ def test_verify_analytic_empty_range_skips(capsys, kmax):
     assert lines[-1] == "ALL CHECKS PASSED"
 
 
-def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch):
+@pytest.fixture
+def weighed_configs_cleared_after():
+    """No weight a test patched in outlives it in the weighed-configuration cache."""
+    yield
+    weights._weighed_configs.cache_clear()
+
+
+def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch,
+                                                     weighed_configs_cleared_after):
     # the series route builds G from series products, the direct route from
     # the power sums; a wrong sign on the d power sum must show as FAIL
     argv = ["verify", "--suite", "tau", "--gen", "rational", "--c", "1", "--d=1/3"]
@@ -558,6 +583,8 @@ def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch):
             profiles, lambda m: sum(F(x) ** m for x in c) + sum((-F(x)) ** m for x in d))
 
     monkeypatch.setattr(weights, "rational_weight_factor", flipped)
+    # the warm run above cached its weighed configurations with the real factor
+    weights._weighed_configs.cache_clear()
     code = run(argv)
     out, _ = capture(capsys)
     assert code == 1

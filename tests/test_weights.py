@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz_tau import weights
 from hurwitz_tau.errors import SingularParameterError, UsageError
 from hurwitz_tau.hurwitz import ProfileTuple, hurwitz_number
 from hurwitz_tau.partitions import colength, enumerate_partitions, z_of
@@ -99,6 +100,48 @@ def test_quantum_eval_matches_fraction_loop():
                 assert exc.value.code == "weight-gen-pole"
                 assert str(exc.value) == f"pole of quantum weight function: 1 - q^{want}*({x}) = 0"
     assert (evaluated, poles) == (1650, 38)
+
+
+def ratio_by_fractions(c, d, x):
+    """prod (1 + c_l x) / prod (1 - d_m x), one Fraction operation at a time;
+    returns the first d_m whose factor vanishes instead of raising."""
+    val = F(1)
+    for cl in c:
+        val *= 1 + cl * x
+    for dm in d:
+        if 1 - dm * x == 0:
+            return ("pole", dm)
+        val /= 1 - dm * x
+    return val
+
+
+def test_ratio_eval_matches_fraction_loop():
+    # the integer numerator and denominator must give the same value, and at
+    # a pole the same error naming the same first vanishing factor
+    families = [WeightGen.trivial(), WeightGen.finite_product([1, F(1, 2), F(-1, 3)]),
+                WeightGen.rational([1], [F(1, 3)]),
+                WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)])]
+    evaluated = poles = 0
+    for G in families:
+        for m in range(-30, 31):
+            x = F(m, 7)
+            want = ratio_by_fractions(G.c, G.d, x)
+            evaluated += 1
+            if isinstance(want, F):
+                got = eval_weight_gen(G, x)
+                assert type(got) is F and got == want, (G, x)
+                continue
+            poles += 1
+            with pytest.raises(SingularParameterError) as exc:
+                eval_weight_gen(G, x)
+            assert exc.value.code == "weight-gen-pole"
+            assert str(exc.value) == ("pole of weight generating function: "
+                                      f"1 - ({want[1]})*({x}) = 0")
+    # x = 3 is the pole of 1/(1 - x/3) in both rational families
+    assert (evaluated, poles) == (244, 2)
+    with pytest.raises(SingularParameterError) as exc:
+        eval_weight_gen(WeightGen.rational([F(2, 3)], [F(1, 3), F(3, 11)]), F(11, 3))
+    assert str(exc.value) == "pole of weight generating function: 1 - (3/11)*(11/3) = 0"
 
 
 def test_trivial_and_finite_products_are_ratios_without_d():
@@ -447,12 +490,16 @@ def _odd_total_queries(nmax, dmax):
                         yield d, mu, nu
 
 
-@pytest.mark.parametrize("G", [
+FAMILIES = [
     WeightGen.trivial(),
     WeightGen.finite_product([F(1), F(-1, 2)]),
     WeightGen.rational([F(1)], [F(1, 3)]),
     WeightGen.quantum(F(1, 2)),
-], ids=["trivial", "finite", "rational", "quantum"])
+]
+FAMILY_IDS = ["trivial", "finite", "rational", "quantum"]
+
+
+@pytest.mark.parametrize("G", FAMILIES, ids=FAMILY_IDS)
 def test_odd_total_is_zero_by_the_character_sum(G):
     # the package answers odd totals without the character sum; here every
     # configuration's count is summed in full and must cancel to 0
@@ -472,3 +519,72 @@ def test_odd_total_is_zero_by_the_character_sum(G):
         assert total == 0, (d, mu, nu)
         assert weighted_hurwitz(G, d, mu, nu) == 0 == extract_H(table, d, mu, nu)
     assert configs > 0
+
+
+def weighed_by_hand(G, N, d):
+    """(profiles, arrangements, W) of every profile multiset, each W taken
+    from the factor functions here; d = 0 is the one empty configuration."""
+    if d == 0:
+        return [((), 1, F(1))]
+    if G.kind == "quantum":
+        return [(ps, arr, quantum_weight_factor(G.q, ps))
+                for ps, arr in profile_multisets(N, d)]
+    return [(ps, arr, rational_weight_factor(G.c, G.d, ps))
+            for ps, arr in profile_multisets(N, d)]
+
+
+def configuration_sum(configs, mu, nu):
+    """Sum of arrangements x W x character sum over the weighed configurations."""
+    return sum((arr * w * hurwitz_number(ProfileTuple(sum(mu), ps + (mu, nu)))
+                for ps, arr, w in configs), F(0))
+
+
+def test_weighed_list_warm_equals_cold():
+    # a second pass after cache_clear(), in reverse order, weighs each
+    # (G, N, d) afresh from a different query; both passes must give the
+    # configuration sum, which shares no cache with them
+    queries = [(G, d, mu, nu) for G in FAMILIES for N in range(1, 7)
+               for d in range(6) for mu in enumerate_partitions(N)
+               for nu in enumerate_partitions(N)]
+
+    def answers(qs):
+        return {q: (weighted_hurwitz(*q), weighted_hurwitz_terms(*q)) for q in qs}
+
+    weights._weighed_configs.cache_clear()
+    first = answers(queries)
+    weights._weighed_configs.cache_clear()
+    second = answers(reversed(queries))
+    assert first == second
+    by_hand = {}
+    nonzero = 0
+    for (G, d, mu, nu), (value, terms) in first.items():
+        shape = (G, sum(mu), d)
+        if shape not in by_hand:
+            by_hand[shape] = weighed_by_hand(*shape)
+        want = configuration_sum(by_hand[shape], mu, nu)
+        assert value == sum((t.value for t in terms), F(0)) == want, (G, d, mu, nu)
+        nonzero += value != 0
+    assert len(queries) == 4 * 209 * 6 and nonzero > 1000
+
+
+def test_weighed_list_cache_is_bounded():
+    info = weights._weighed_configs.cache_info
+    shapes = [(WeightGen.finite_product([F(1, k)]), N, d)
+              for k in range(1, info().maxsize // 3 + 2) for N, d in ((2, 1), (3, 2), (4, 2))]
+    assert len(shapes) > info().maxsize
+
+    queries = [(G, N, d, mu, nu) for G, N, d in shapes
+               for mu in enumerate_partitions(N) for nu in enumerate_partitions(N)]
+
+    def answers():
+        return [weighted_hurwitz(G, d, mu, nu) for G, N, d, mu, nu in queries]
+
+    weights._weighed_configs.cache_clear()
+    first = answers()
+    assert info().currsize <= info().maxsize
+    # every shape was evicted before its second use and is weighed again
+    assert answers() == first
+    assert info().currsize <= info().maxsize
+    assert info().misses == 2 * len(shapes)
+    assert first == [configuration_sum(weighed_by_hand(G, N, d), mu, nu)
+                     for G, N, d, mu, nu in queries]
