@@ -104,12 +104,8 @@ class BetaSeries:
         raise AttributeError("BetaSeries is immutable")
 
     @classmethod
-    def constant(cls, value, order: int) -> "BetaSeries":
-        return cls([Fraction(value)], order=order)
-
-    @classmethod
     def one(cls, order: int) -> "BetaSeries":
-        return cls.constant(1, order)
+        return cls([Fraction(1)], order=order)
 
     @property
     def order(self) -> int:

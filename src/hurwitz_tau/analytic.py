@@ -92,17 +92,16 @@ def max_regular_order(G: WeightGen, beta, k: int, J: int,
 
     Returns (order, reason); reason is None when the full window is regular.
     A singularity among the negative-index rho values (j < k) makes the
-    series unconstructible and is re-raised.  Only the rho values the
-    ladder does not hold yet are computed, one index at a time, so a
-    reason names the first singular index.
+    series unconstructible and is re-raised.  ``rho`` is asked for every
+    index of the window in turn and computes only the values it lacks, so
+    a reason names the first singular index.
     """
     G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
     beta = Fraction(beta)
     if J < 0:
         return J, None
-    held = len(_rho_ladder(G, beta).pos)
     # rho_{-k} first, as phi_k is built: it grows the whole negative side
-    for i in (-k, *range(max(held, 1 - k), J - k + 1)):
+    for i in (-k, *range(J - k + 1)):
         try:
             rho(G, i, beta)
         except SingularParameterError as exc:

@@ -111,14 +111,10 @@ def weight_gen_from_args(args) -> WeightGen:
     return WeightGen.quantum(parse_rational(args.q), getattr(args, "m", None))
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj)
-
-
 def emit_table(rows: list[dict], fmt: str, columns: list[str]) -> str:
     """Render rows in canonical order as CSV or JSON, byte-stable."""
     if fmt == "json":
-        return _emit_json(rows)
+        return json.dumps(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -144,7 +140,7 @@ def _cmd_hurwitz(args) -> int:
     }
     if args.oracle:
         out["oracle"] = format_rational(hurwitz_oracle(pt))
-    print(_emit_json(out))
+    print(json.dumps(out))
     return 0
 
 
@@ -175,7 +171,7 @@ def _cmd_weighted(args) -> int:
             }
             for t in terms
         ]
-    print(_emit_json(out))
+    print(json.dumps(out))
     return 0
 
 
@@ -202,12 +198,10 @@ def _cmd_tau_coeffs(args) -> int:
 
 def _cmd_chartable(args) -> int:
     rows = character_table(args.n)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lambda"] + [format_partition(mu) for mu, _, _ in rows])
-    for i, (lam, _, _) in enumerate(rows):
-        writer.writerow([format_partition(lam)] + [chi[i] for _, chi, _ in rows])
-    print(buf.getvalue().rstrip("\n"))
+    columns = ["lambda"] + [format_partition(mu) for mu, _, _ in rows]
+    table = [dict(zip(columns, [format_partition(lam)] + [chi[i] for _, chi, _ in rows]))
+             for i, (lam, _, _) in enumerate(rows)]
+    print(emit_table(table, "csv", columns))
     return 0
 
 
@@ -221,7 +215,7 @@ def _cmd_phi(args) -> int:
         "lead_exp": p.lead_exp,
         "coeffs": [format_rational(c) for c in p.coeffs],
     }
-    print(_emit_json(out))
+    print(json.dumps(out))
     return 0
 
 
@@ -523,7 +517,7 @@ def run(argv=None) -> int:
                 _parser.error(f"unrecognized arguments: {' '.join(rest)}")
         return args.func(args)
     except HurwitzTauError as exc:
-        print(_emit_json({"error": exc.code, "message": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

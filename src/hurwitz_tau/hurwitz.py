@@ -94,10 +94,6 @@ def riemann_hurwitz(pt: ProfileTuple) -> tuple[int, Fraction]:
 
 # -- permutation machinery for the oracle ----------------------------------
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p o q)(i) = p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -132,8 +128,9 @@ def hurwitz_oracle(pt: ProfileTuple) -> Fraction:
     last = pt.profiles[-1]
     count = 0
     for choice in product(*lead):
-        prod_perm = identity_perm(pt.N)
-        for s in choice:
+        # the empty choice (k = 1) is the identity
+        prod_perm = choice[0] if choice else tuple(range(pt.N))
+        for s in choice[1:]:
             prod_perm = compose(prod_perm, s)
         # s_k = inverse(product), and an inverse has the same cycle type
         if cycle_type(prod_perm) == last:

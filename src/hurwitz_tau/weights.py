@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, groupby
+from itertools import groupby
 from math import factorial
 
 from .errors import SingularParameterError, UsageError
@@ -151,14 +151,14 @@ def eval_weight_gen(G: WeightGen, x: Fraction) -> Fraction:
 
 
 def _weight_sum(profiles, power_sum) -> Fraction:
-    """(1/k!) sum over set partitions pi of the k profile colengths of
-    prod_{B in pi} (-1)^(|B|-1) (|B|-1)! power_sum(colength sum of B).
+    """(1/k!) times F(colengths of the k profiles), F the injective-map sum.
 
-    With power_sum(m) = sum_i c_i^m this is the sum over injective maps from
-    the profiles to the c parameters, i.e. the strict-chain weight factor
-    (Moebius inversion over set partitions).  The block holding the first
-    remaining colength is chosen first, so each partition is met once; the
-    rest is memoised on the sorted remaining colengths, about 3^k steps.
+    With power_sum(m) = sum_i c_i^m, F(e_1..e_k) is the sum over injective
+    maps i from the profiles to the c parameters of prod_j c_(i_j)^(e_j),
+    i.e. the strict-chain weight factor.  Mapping the smallest colength e
+    anywhere and taking away the maps that hit an index already used by
+    the rest R gives F(e, R) = P(e) F(R) - sum_j F(R with e added to R_j),
+    memoised on sorted colength tuples.
     """
     exps = tuple(sorted(colength(as_partition(p)) for p in profiles))
     if not exps:
@@ -167,19 +167,16 @@ def _weight_sum(profiles, power_sum) -> Fraction:
     power_sum = cache(power_sum)
 
     @cache
-    def over(rest: tuple[int, ...]):
-        if not rest:
+    def injective(es: tuple[int, ...]):
+        if not es:
             return 1
-        others = rest[1:]
-        total = 0
-        for size in range(len(others) + 1):
-            coeff = (-1) ** size * factorial(size)
-            for chosen in combinations(range(len(others)), size):
-                left = tuple(e for i, e in enumerate(others) if i not in chosen)
-                total += power_sum(sum(rest) - sum(left)) * (coeff * over(left))
+        e, rest = es[0], es[1:]
+        total = power_sum(e) * injective(rest)
+        for j in range(len(rest)):
+            total -= injective(tuple(sorted(rest[:j] + (rest[j] + e,) + rest[j + 1:])))
         return total
 
-    return Fraction(over(exps), factorial(len(exps)))
+    return Fraction(injective(exps), factorial(len(exps)))
 
 
 def rational_weight_factor(c, d, profiles) -> Fraction:
@@ -310,21 +307,21 @@ def _checked_query(d: int, mu, nu) -> tuple[Partition, Partition, bool]:
 
 
 @lru_cache(maxsize=256)
-def _weighed_configs(G: WeightGen, N: int, d: int) -> tuple[tuple, ...]:
+def _weighed_configs(c, dual, q, N: int, d: int) -> tuple[tuple, ...]:
     """(profiles, arrangements, W) for each multiset of ``profile_multisets(N, d)``
-    with a nonzero weight W, kept for the 256 most recently used (G, N, d).
+    with a nonzero weight W, kept for the 256 most recently used (c, d, q, N, d).
 
-    W depends on the profiles only through their colengths, so it is taken
-    once per sorted colength multiset.  A weight factor swapped in after a
-    count is not seen until ``_weighed_configs.cache_clear()``.
+    Keyed on the parameters the factors read, so G differing only in M or
+    kind share an entry.  W is taken once per sorted colength multiset.  A
+    factor swapped in after a count needs ``_weighed_configs.cache_clear()``.
     """
     weighed: dict[tuple[int, ...], Fraction] = {}
     out = []
     for profiles, arr in profile_multisets(N, d):
         key = tuple(sorted(colength(p) for p in profiles))
         if key not in weighed:
-            weighed[key] = (quantum_weight_factor(G.q, profiles) if G.q is not None
-                            else rational_weight_factor(G.c, G.d, profiles))
+            weighed[key] = (quantum_weight_factor(q, profiles) if q is not None
+                            else rational_weight_factor(c, dual, profiles))
         if weighed[key]:
             out.append((profiles, arr, weighed[key]))
     return tuple(out)
@@ -335,7 +332,7 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
     multiset of profiles of total colength d with a nonzero weight.
 
     The multisets and weights come from the bounded ``_weighed_configs``
-    cache (256 (G, N, d) lists); each base count is a fresh character sum.
+    cache (256 (c, d, q, N, d) lists); each base count is a fresh character sum.
     At an odd total colength each base count is 0 by parity and is not summed.
     """
     mu, nu, odd = _checked_query(d, mu, nu)
@@ -350,7 +347,7 @@ def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
         return [WeightedTerm((), (), 1, Fraction(1), count(()))]
 
     return [WeightedTerm(profiles, (), arr, w, count(profiles))
-            for profiles, arr, w in _weighed_configs(G, N, d)]
+            for profiles, arr, w in _weighed_configs(G.c, G.d, G.q, N, d)]
 
 
 def weighted_hurwitz(G: WeightGen, d: int, mu, nu) -> Fraction:

@@ -10,7 +10,6 @@ from hurwitz_tau.hurwitz import (
     conjugacy_classes,
     hurwitz_number,
     hurwitz_oracle,
-    identity_perm,
     riemann_hurwitz,
 )
 from hurwitz_tau.characters import _character, _perm_sign
@@ -49,13 +48,33 @@ def test_riemann_hurwitz():
     assert riemann_hurwitz(ProfileTuple(1, ())) == (2, F(0))
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5])
 def test_character_sum_equals_oracle(N):
     parts = enumerate_partitions(N)
     for k in (1, 2, 3):
         for profs in product(parts, repeat=k):
             pt = ProfileTuple(N, profs)
             assert hurwitz_number(pt) == hurwitz_oracle(pt), profs
+
+
+@pytest.mark.parametrize("profiles, calls", [
+    (((3, 2), (3, 1, 1), (2, 2, 1)), 20 * 20),  # one compose per choice of two
+    (((3, 2), (2, 2, 1)), 0),  # the one chosen permutation is the product
+])
+def test_oracle_composes_only_the_chosen_permutations(monkeypatch, profiles, calls):
+    import hurwitz_tau.hurwitz as hz
+
+    count = 0
+
+    def counted(p, q):
+        nonlocal count
+        count += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(hz, "compose", counted)
+    pt = ProfileTuple(5, profiles)
+    assert hurwitz_oracle(pt) == hurwitz_number(pt)
+    assert count == calls
 
 
 def test_profile_order_invariance():
@@ -88,7 +107,7 @@ def test_permutation_helpers():
     q = (0, 2, 1)
     assert compose(p, q) == (1, 0, 2)
     assert cycle_type(p) == (3,)
-    assert cycle_type(identity_perm(4)) == (1, 1, 1, 1)
+    assert cycle_type(tuple(range(4))) == (1, 1, 1, 1)
     classes = conjugacy_classes(4)
     assert sum(len(v) for v in classes.values()) == 24
     assert len(classes[(2, 1, 1)]) == 6

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
+from functools import cache
 from math import factorial, prod
 
 import pytest
@@ -270,6 +271,61 @@ def test_quantum_weight_factor_singular():
         with pytest.raises(SingularParameterError) as err:
             quantum_weight_factor(F(-1), profiles)
         assert err.value.code == "singular-quantum"
+
+
+def set_partition_weight_sum(profiles, power_sum):
+    """(1/k!) sum over set partitions pi of the profile colengths of
+    prod_{B in pi} (-1)^(|B|-1) (|B|-1)! power_sum(colength sum of B): the
+    Moebius-inversion form of the injective-map sum, block of the first
+    remaining colength first, memoised on the sorted remaining colengths."""
+    exps = tuple(sorted(colength(p) for p in profiles))
+
+    @cache
+    def over(rest):
+        if not rest:
+            return 1
+        others = rest[1:]
+        total = 0
+        for size in range(len(others) + 1):
+            coeff = (-1) ** size * factorial(size)
+            for chosen in combinations(range(len(others)), size):
+                left = tuple(e for i, e in enumerate(others) if i not in chosen)
+                total += power_sum(sum(rest) - sum(left)) * (coeff * over(left))
+        return total
+
+    return F(over(exps), factorial(len(exps)))
+
+
+def test_weight_recursion_is_the_set_partition_sum():
+    c, d, q = (F(1), F(-1, 2)), (F(1, 3),), F(1, 2)
+    cases = [
+        (lambda ps: weight_factor(c, ps), lambda m: sum(x ** m for x in c)),
+        (lambda ps: rational_weight_factor(c, d, ps),
+         lambda m: sum(x ** m for x in c) - sum((-x) ** m for x in d)),
+        (lambda ps: quantum_weight_factor(q, ps), lambda m: (-1) ** (m - 1) / (1 - q ** m)),
+    ]
+    multisets = [ps for N in range(1, 7) for deg in range(1, 8)
+                 for ps, _ in profile_multisets(N, deg)]
+    assert len(multisets) == 295
+    for factor, power_sum in cases:
+        for ps in multisets:
+            assert factor(ps) == set_partition_weight_sum(ps, power_sum), ps
+
+
+def test_quantum_weight_factor_at_minus_one_raises_on_even_sub_sums():
+    # 1 - q^m vanishes at q = -1 exactly for even m; the factor needs P(m)
+    # for every sub-multiset sum m of the colengths
+    for k in range(1, 6):
+        for exps in combinations_with_replacement(range(1, 6), k):
+            even = any(sum(sub) % 2 == 0 for r in range(1, k + 1)
+                       for sub in combinations(exps, r))
+            profiles = [(e + 1,) for e in exps]
+            if even:
+                with pytest.raises(SingularParameterError) as err:
+                    quantum_weight_factor(F(-1), profiles)
+                assert err.value.code == "singular-quantum"
+            else:
+                assert quantum_weight_factor(F(-1), profiles) == F(1, 2), exps
 
 
 def test_weight_factors_with_eight_profiles():
@@ -588,3 +644,18 @@ def test_weighed_list_cache_is_bounded():
     assert info().misses == 2 * len(shapes)
     assert first == [configuration_sum(weighed_by_hand(G, N, d), mu, nu)
                      for G, N, d, mu, nu in queries]
+
+
+def test_weighed_list_is_keyed_on_the_weights():
+    # a quantum G with and without M, and a finite product and the ratio
+    # with no d, have the same weight factors and share one cached list
+    gens = [WeightGen.quantum(F(1, 2)), WeightGen.quantum(F(1, 2), M=40),
+            WeightGen.finite_product([1]), WeightGen.rational([1], [])]
+    weights._weighed_configs.cache_clear()
+    values = [weighted_hurwitz(G, 2, (2, 1), (2, 1)) for G in gens]
+    info = weights._weighed_configs.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert values[0] == values[1] and values[2] == values[3]
+    assert [G.describe() for G in gens] == [
+        "quantum(q=1/2)", "quantum(q=1/2, M=40)",
+        "finite_product(c=[1], d=[])", "rational(c=[1], d=[])"]
