@@ -92,22 +92,25 @@ def max_regular_order(G: WeightGen, beta, k: int, J: int,
 
     Returns (order, reason); reason is None when the full window is regular.
     A singularity among the negative-index rho values (j < k) makes the
-    series unconstructible and is re-raised.  ``rho`` is asked for every
-    index of the window in turn and computes only the values it lacks, so
-    a reason names the first singular index.
+    series unconstructible and is re-raised.  ``rho`` grows each side of
+    the ladder up to the first singular index, so the two ends of the
+    window decide it, and a reason names the first singular index.
     """
     G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
     beta = Fraction(beta)
     if J < 0:
         return J, None
     # rho_{-k} first, as phi_k is built: it grows the whole negative side
-    for i in (-k, *range(J - k + 1)):
+    rho(G, -k, beta)
+    try:
+        rho(G, J - k, beta)
+    except SingularParameterError:
+        i = len(_rho_ladder(G, beta).pos)
         try:
             rho(G, i, beta)
         except SingularParameterError as exc:
-            if i < 0:
-                raise
             return i + k - 1, str(exc)
+        raise
     return J, None
 
 

@@ -1,9 +1,9 @@
 """Irreducible symmetric-group characters and the Schur/power-sum transition.
 
 The workhorse is recursive border-strip removal (Murnaghan-Nakayama),
-integer-exact and memoized.  An independent bialternant oracle recomputes
-small characters from scratch so the recursion never has to be trusted
-on its own.
+integer-exact and memoized one class column at a time.  An independent
+bialternant oracle recomputes small characters from scratch so the
+recursion never has to be trusted on its own.
 """
 
 from __future__ import annotations
@@ -27,39 +27,40 @@ from .partitions import (
 _ORACLE_MAX = 6
 
 
-def _beta_set(lam: Partition) -> tuple[int, ...]:
-    # first-column hook lengths lam_i + (L-1-i); strictly decreasing
-    L = len(lam)
-    return tuple(lam[i] + L - 1 - i for i in range(L))
-
-
 @cache
-def _strip_removals(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
-    """(smaller_partition, (-1)^height) for each border strip of size r.
+def _strip_moves(n: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(index among the partitions of n - r, (-1)^height) for each border
+    strip of size r, per partition of n in enumeration order.
 
-    Removing a strip of size r moves one beta number down by r onto a free
-    slot; the strip height is the number of beta numbers jumped over.
+    The beta numbers lam_i + n - 1 - i of lam padded with zeros to n parts
+    are the bits of one int.
+    Removing a strip moves a bead down r onto a free slot; the strip
+    height is the number of beads it jumps.
     """
-    beta = set(_beta_set(lam))
-    L = len(lam)
-    moves = []
-    for b in sorted(beta, reverse=True):
-        nb = b - r
-        if nb < 0 or nb in beta:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((beta - {b}) | {nb}, reverse=True)
-        new_lam = tuple(x - (L - 1 - i) for i, x in enumerate(new_beta))
-        moves.append((tuple(p for p in new_lam if p > 0), -1 if height % 2 else 1))
-    return tuple(moves)
+    def beads(lam):
+        return sum((1 << p + n - 1 - i for i, p in enumerate(lam)), (1 << n - len(lam)) - 1)
+
+    def moves(b):
+        free = b >> r & ~b  # bit j: slot j is free and slot j + r holds a bead
+        while free:
+            j = (free & -free).bit_length() - 1
+            jumped = (b >> j + 1) & ((1 << r - 1) - 1)
+            yield index[b ^ (1 << j | 1 << j + r)], -1 if jumped.bit_count() & 1 else 1
+            free &= free - 1
+
+    index = {beads(mu): i for i, mu in enumerate(enumerate_partitions(n - r))}
+    return tuple(tuple(moves(beads(lam))) for lam in enumerate_partitions(n))
 
 
 @cache
-def _character(lam: Partition, mu: Partition) -> int:
+def _character(mu: Partition) -> tuple[int, ...]:
+    """chi_lam(mu) for every partition lam of |mu|, in enumeration order:
+    strip mu[0] off every lam and read the column of mu[1:]."""
     if not mu:
-        return 1
-    return sum(sign * _character(smaller, mu[1:])
-               for smaller, sign in _strip_removals(lam, mu[0]))
+        return (1,)
+    rest = _character(mu[1:])
+    return tuple(sum([sign * rest[i] for i, sign in moves])
+                 for moves in _strip_moves(weight(mu), mu[0]))
 
 
 def character(lam, mu) -> int:
@@ -71,15 +72,14 @@ def character(lam, mu) -> int:
             f"character needs |lam| == |mu|, got {weight(lam)} != {weight(mu)}",
             code="weight-mismatch",
         )
-    return _character(lam, mu)
+    return _character(mu)[enumerate_partitions(weight(mu)).index(lam)]
 
 
 def character_table(n: int) -> list[tuple[Partition, list[int], int]]:
     """Character table of S_n, read as the transition s_lam = sum_mu
     chi_lam(mu)/z_mu p_mu in ints: (mu, [chi_lam(mu) for each lam], z_mu)
     per mu, both in enumeration order."""
-    parts = enumerate_partitions(n)
-    return [(mu, [_character(lam, mu) for lam in parts], z_of(mu)) for mu in parts]
+    return [(mu, list(_character(mu)), z_of(mu)) for mu in enumerate_partitions(n)]
 
 
 def powersum_numerators(ints: list[int], rows) -> list[int]:

@@ -56,9 +56,9 @@ class ProfileTuple:
 
 
 @cache
-def _hook_products(n: int) -> tuple[tuple[Partition, int], ...]:
-    """(lam, h(lam)) for every partition of n, in enumeration order."""
-    return tuple((lam, hook_product(lam)) for lam in enumerate_partitions(n))
+def _hook_products(n: int) -> tuple[int, ...]:
+    """h(lam) for every partition lam of n, in enumeration order."""
+    return tuple(map(hook_product, enumerate_partitions(n)))
 
 
 def hurwitz_number(pt: ProfileTuple) -> Fraction:
@@ -74,11 +74,8 @@ def hurwitz_number(pt: ProfileTuple) -> Fraction:
         raise UsageError("need at least one ramification profile", code="empty-profiles")
     scale = 1 if k >= 2 else factorial(pt.N)
     total = 0
-    for lam, h in _hook_products(pt.N):
-        term = h ** (k - 2) if k >= 2 else scale // h
-        for p in pt.profiles:
-            term *= _character(lam, p)
-        total += term
+    for h, *chis in zip(_hook_products(pt.N), *map(_character, pt.profiles)):
+        total += prod(chis, start=h ** (k - 2) if k >= 2 else scale // h)
     return Fraction(total, scale * prod(z_of(p) for p in pt.profiles))
 
 
@@ -96,16 +93,16 @@ def riemann_hurwitz(pt: ProfileTuple) -> tuple[int, Fraction]:
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p o q)(i) = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 @cache
-def conjugacy_classes(n: int) -> dict[Partition, tuple[tuple[int, ...], ...]]:
+def conjugacy_classes(n: int) -> dict[Partition, frozenset[tuple[int, ...]]]:
     """All of S_n bucketed by cycle type."""
     buckets: dict[Partition, list] = {}
     for p in permutations(range(n)):
         buckets.setdefault(cycle_type(p), []).append(p)
-    return {ct: tuple(ps) for ct, ps in buckets.items()}
+    return {ct: frozenset(ps) for ct, ps in buckets.items()}
 
 
 def hurwitz_oracle(pt: ProfileTuple) -> Fraction:
@@ -125,14 +122,14 @@ def hurwitz_oracle(pt: ProfileTuple) -> Fraction:
         )
     classes = conjugacy_classes(pt.N)
     lead = [classes.get(p, ()) for p in pt.profiles[:-1]]
-    last = pt.profiles[-1]
+    last = classes.get(pt.profiles[-1], frozenset())
     count = 0
     for choice in product(*lead):
         # the empty choice (k = 1) is the identity
         prod_perm = choice[0] if choice else tuple(range(pt.N))
         for s in choice[1:]:
             prod_perm = compose(prod_perm, s)
-        # s_k = inverse(product), and an inverse has the same cycle type
-        if cycle_type(prod_perm) == last:
+        # s_k = inverse(product), and an inverse lies in the same class
+        if prod_perm in last:
             count += 1
     return Fraction(count, factorial(pt.N))

@@ -236,6 +236,23 @@ def test_phi_prefix_memo_warm_equals_cold(G, beta, cold_ladder):
         assert outcomes == {"full", "capped", "singular"}
 
 
+@pytest.mark.parametrize("G, beta, k, calls", [
+    (GT, F(1, 8), 3, 2),  # regular: rho_{-k} and rho_{J-k}
+    (replace(GQ, M=40), F(1, 23), 1, 3),  # capped: and the first singular index
+])
+def test_warm_window_asks_rho_at_its_ends(G, beta, k, calls, cold_ladder, monkeypatch):
+    cold = max_regular_order(G, beta, k, 24)
+    real, asked = analytic.rho, []
+
+    def counted(G, j, beta):
+        asked.append(j)
+        return real(G, j, beta)
+
+    monkeypatch.setattr(analytic, "rho", counted)
+    assert max_regular_order(G, beta, k, 24) == cold
+    assert len(asked) == calls, asked
+
+
 def test_phi_memo_keeps_no_perturbation(cold_ladder, monkeypatch):
     # the memo hands out tuples: a phi_k patched to perturb its output, and
     # the determinant routes built on it, leave the kept prefixes as they are

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 from itertools import permutations
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
+from hurwitz_tau import characters
 from hurwitz_tau.characters import (
+    _strip_moves,
     character,
     character_oracle,
     character_table,
@@ -51,6 +54,60 @@ def test_orthogonality(n):
         for nu, chi_nu, _ in rows:
             acc = sum(a * b for a, b in zip(chi_mu, chi_nu))
             assert acc == (z if mu == nu else 0)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_integer_orthogonality(n):
+    # rows: sum_lam chi_lam(mu) chi_lam(nu) = z_mu [mu = nu]; columns:
+    # sum_mu chi_lam(mu) chi_lam2(mu) n!/z_mu = n! [lam = lam2]
+    rows = character_table(n)
+    N = factorial(n)
+    for i, (mu, chi_mu, z) in enumerate(rows):
+        for nu, chi_nu, _ in rows[i:]:
+            assert sum(map(mul, chi_mu, chi_nu)) == (z if mu == nu else 0)
+    columns = list(zip(*(chi for _, chi, _ in rows)))
+    classes = [N // z for _, _, z in rows]
+    for i, a in enumerate(columns):
+        for j in range(i, len(columns)):
+            acc = sum(c * x * y for c, x, y in zip(classes, a, columns[j]))
+            assert acc == (N if i == j else 0)
+
+
+def _strip_removals(lam, r):
+    """The border strips of size r of lam by beta sets: (smaller, sign) each."""
+    L = len(lam)
+    beta = {lam[i] + L - 1 - i for i in range(L)}
+    moves = set()
+    for b in beta:
+        nb = b - r
+        if nb < 0 or nb in beta:
+            continue
+        height = sum(1 for x in beta if nb < x < b)
+        new_beta = sorted((beta - {b}) | {nb}, reverse=True)
+        new_lam = tuple(x - (L - 1 - i) for i, x in enumerate(new_beta))
+        moves.add((tuple(p for p in new_lam if p > 0), -1 if height % 2 else 1))
+    return moves
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_strip_moves_are_the_beta_set_removals(n):
+    parts = enumerate_partitions(n)
+    for r in range(1, n + 1):
+        smaller = enumerate_partitions(n - r)
+        table = _strip_moves(n, r)
+        assert len(table) == len(parts)
+        for lam, moves in zip(parts, table):
+            got = {(smaller[i], sign) for i, sign in moves}
+            assert len(got) == len(moves)
+            assert got == _strip_removals(lam, r), (lam, r)
+
+
+def test_character_cache_holds_one_column_per_class_suffix():
+    characters._character.cache_clear()
+    character_table(14)
+    # every cached class is a partition of some m <= 14
+    assert characters._character.cache_info().currsize <= sum(
+        len(enumerate_partitions(m)) for m in range(15))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

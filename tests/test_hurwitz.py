@@ -12,7 +12,7 @@ from hurwitz_tau.hurwitz import (
     hurwitz_oracle,
     riemann_hurwitz,
 )
-from hurwitz_tau.characters import _character, _perm_sign
+from hurwitz_tau.characters import _perm_sign, character
 from hurwitz_tau.partitions import cycle_type, enumerate_partitions, hook_product, z_of
 
 
@@ -125,7 +125,7 @@ def fraction_character_sum(pt):
     for lam in enumerate_partitions(pt.N):
         term = F(hook_product(lam)) ** (k - 2)
         for p in pt.profiles:
-            term *= F(_character(lam, p), z_of(p))
+            term *= F(character(lam, p), z_of(p))
         total += term
     return total
 

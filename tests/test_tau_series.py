@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hurwitz_tau import cli, tau_series
 from hurwitz_tau.algebra import BetaSeries
-from hurwitz_tau.characters import _character
+from hurwitz_tau.characters import character
 from hurwitz_tau.cli import run
 from hurwitz_tau.errors import SingularParameterError, UsageError
 from hurwitz_tau.partitions import (
@@ -273,7 +273,7 @@ def _fraction_double_table(G, D, Nmax):
                 for e in range(n, n + D + 1):
                     total = F(0)
                     for lam in parts:
-                        total += r[lam].coeff(e - n) * _character(lam, mu) * _character(lam, nu)
+                        total += r[lam].coeff(e - n) * character(lam, mu) * character(lam, nu)
                     if total:
                         coeffs[(mu, nu, e)] = total / (z_of(mu) * z_of(nu))
     return coeffs
@@ -288,7 +288,7 @@ def _fraction_single_table(G, D, Nmax):
             for d in range(D + 1):
                 total = F(0)
                 for lam in parts:
-                    total += F(r[lam].coeff(d) * _character(lam, mu), hook_product(lam))
+                    total += F(r[lam].coeff(d) * character(lam, mu), hook_product(lam))
                 out[(mu, d)] = total / z_of(mu)
     return out
 
