@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import (
     SingularInputError,
@@ -50,17 +50,6 @@ class PhiSeries:
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
         return Fraction(0)
-
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        if x == 0:
-            raise SingularInputError(
-                "cannot evaluate a series with a Laurent prefactor at x = 0"
-            )
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * x ** self.lead_exp
 
 
 def phi_k(G: WeightGen, beta, k: int, J: int) -> PhiSeries:
@@ -152,7 +141,7 @@ def _identity_report(identity: str, k: int, beta: Fraction, J: int, checked: int
     # the reason is reported only for a window that actually stops short of J
     return IdentityReport(
         identity, k, beta, J, checked, reason if checked < J else None,
-        max((abs(r) for r in residuals), default=Fraction(0)), ode_checked,
+        max((abs(r) for r in residuals if r), default=Fraction(0)), ode_checked,
     )
 
 
@@ -203,14 +192,17 @@ def spectral_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
     """Coefficients of (x G(beta D) - D - (k-1)) phi_k, one per power of x.
 
     The coefficient of x^s is a_{s-1} G(beta (s-1)) - (s + k - 1) a_s.
+    Each G(i beta) is evaluated once per (G, beta) and kept in its record.
     Raises if G must be evaluated at one of its poles.
     """
     k, beta = p.k, p.beta
+    g = _rho_ladder(G, beta).g
     out = [-(p.lead_exp + k - 1) * p.coeff(0)]
     for j in range(1, p.order + 1):
         s = p.lead_exp + j
-        out.append(_difference(p.coeff(j - 1) * eval_weight_gen(G, beta * (s - 1)),
-                               (s + k - 1) * p.coeff(j)))
+        if s - 1 not in g:
+            g[s - 1] = eval_weight_gen(G, beta * (s - 1))
+        out.append(_difference(p.coeff(j - 1) * g[s - 1], (s + k - 1) * p.coeff(j)))
     return out
 
 
@@ -229,7 +221,9 @@ def ode_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
     -kappa x prod_l (D + 1/(beta c_l)) phi
       + (D + k - 1) prod_m (D - 1 - 1/(beta d_m)) phi  =  0,
     valid for ratio-type weight functions with nonzero c parameters; unlike
-    the raw symbol form it never divides by a vanishing factor of G.
+    the raw symbol form it never divides by a vanishing factor of G.  Both
+    sides of each coefficient are compared as integers over one common
+    denominator; only a nonzero residual becomes a Fraction.
     """
     if G.q is not None:
         raise UsageError("cleared ODE form exists for ratio-type weight functions",
@@ -240,22 +234,28 @@ def ode_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
         )
     k, beta = p.k, p.beta
     kappa = _kappa(G, beta)
-    # the factors are s - 1 - 1/(beta d_m) = s - u_m and s - 1 + 1/(beta c_l) = s + v_l
-    u = [1 + 1 / (beta * dm) for dm in G.d]
-    v = [1 / (beta * cl) - 1 for cl in G.c]
+    # the factors are s - 1 - 1/(beta d_m) = s - U_m/Du and
+    # s - 1 + 1/(beta c_l) = s + V_l/Dv, each family over one denominator
+    U, Du = _cleared([1 + 1 / (beta * dm) for dm in G.d])
+    V, Dv = _cleared([1 / (beta * cl) - 1 for cl in G.c])
+    Dd, Dc = Du ** len(U), Dv ** len(V)
+    # second = (s+k-1) a_j prod (s - U_m/Du) and first = kappa a_{j-1} prod (s + V_l/Dv),
+    # both times D = Dd Dc den(kappa) den(a_j) den(a_{j-1}), are ints
     out = []
-    for j in range(p.order + 1):
+    prev = Fraction(0)  # a_{-1}: the x^(lead_exp) coefficient has no first term
+    for j, a in enumerate(p.coeffs):
         s = p.lead_exp + j
-        second = (s + k - 1) * p.coeff(j)
-        for um in u:
-            second *= s - um
-        if j == 0:
-            out.append(second)
-            continue
-        first = kappa * p.coeff(j - 1)
-        for vl in v:
-            first *= s + vl
-        out.append(_difference(second, first))
+        second = (s + k - 1) * Dc * kappa.denominator
+        for Um in U:
+            second *= s * Du - Um
+        first = kappa.numerator * Dd
+        for Vl in V:
+            first *= s * Dv + Vl
+        second *= a.numerator * prev.denominator
+        first *= prev.numerator * a.denominator
+        out.append(Fraction(0) if second == first else Fraction(
+            second - first, Dd * Dc * kappa.denominator * a.denominator * prev.denominator))
+        prev = a
     return out
 
 
@@ -378,14 +378,26 @@ def _rho_prefactor(G: WeightGen, beta: Fraction, n: int) -> Fraction:
 def _det_form(G: WeightGen, beta: Fraction, xs: list[Fraction], rows,
               scale: Fraction) -> DetRepValue:
     """beta^e scale prod_j x_j^(n-1) det[row(x_j)] / (Delta(x) prod_i rho_{-i})
-    with the calibrated exponent e; the rows are built by the caller first."""
+    with the calibrated exponent e; the rows are built by the caller first.
+
+    Each x^(n-1) row(x) is a polynomial of top degree J; cleared to C/L, at
+    x = u/v it is the int sum_m C_m u^m v^(J-m) over L v^J, so the
+    determinant is one int determinant over prod_i L_i prod_j v_j^J.
+    """
     n = len(xs)
-    det = exact_det([[p.eval(x) for x in xs] for p in rows])
-    pref = scale * _rho_prefactor(G, beta, n)
-    for x in xs:
-        pref *= x ** (n - 1)
+    J = rows[0].lead_exp + rows[0].order + n - 1
+    # u^m v^(J-m) for m = 0..J at each point, shared by every row
+    powers = [[x.numerator ** m * x.denominator ** (J - m) for m in range(J + 1)]
+              for x in xs]
+    matrix, den = [], prod(x.denominator for x in xs) ** J
+    for p in rows:
+        C, L = _cleared(p.coeffs)
+        den *= L
+        low = p.lead_exp + n - 1
+        matrix.append([sum(c * hom[m] for m, c in enumerate(C, low)) for hom in powers])
+    pref = scale * _rho_prefactor(G, beta, n) / vandermonde(xs)
     e = det_rep_calibration(n)
-    return DetRepValue(beta ** e * pref * det / vandermonde(xs), e)
+    return DetRepValue(beta ** e * pref * Fraction(_int_det(matrix), den), e)
 
 
 def tau_det_rep(G: WeightGen, beta, X, J: int) -> DetRepValue:

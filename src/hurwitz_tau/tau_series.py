@@ -157,17 +157,20 @@ class _Ladder:
 
     pos holds rho_0, rho_1, ...; neg holds rho_{-1}, rho_{-2}, ...; both
     are grown by :func:`rho`.  phi[k] holds the coefficients of phi_k found
-    so far, grown by :func:`.analytic.phi_k`.
+    so far, grown by :func:`.analytic.phi_k`.  g[i] holds G(i beta) as the
+    symbol form of the spectral check reads it, taken from
+    :func:`eval_weight_gen` and never from the rho values.
     """
 
     pos: list[Fraction]
     neg: list[Fraction]
     phi: dict[int, list[Fraction]] = field(default_factory=dict)
+    g: dict[int, Fraction] = field(default_factory=dict)
 
 
 @cache
 def _rho_ladder(G: WeightGen, beta: Fraction) -> _Ladder:
-    """The one record of rho values and phi prefixes at (G, beta)."""
+    """The one record of rho values, phi prefixes and G values at (G, beta)."""
     if beta == 0:
         raise UsageError("beta must be nonzero", code="bad-beta")
     return _Ladder([Fraction(1)], [1 / beta])

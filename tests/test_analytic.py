@@ -26,7 +26,7 @@ from hurwitz_tau.analytic import (
     vandermonde,
 )
 from hurwitz_tau.errors import SingularInputError, SingularParameterError, UsageError
-from hurwitz_tau.tau_series import tau_eval_at_matrix
+from hurwitz_tau.tau_series import rho, tau_eval_at_matrix
 from hurwitz_tau.weights import WeightGen, eval_weight_gen
 from rho_windows import predicted_window
 
@@ -130,6 +130,19 @@ def test_spectral_catches_one_wrong_rho(cold_ladder, monkeypatch):
     for k in (2, 3, 4):
         assert not check_spectral(GR, F(1, 8), k, 24).ok
         assert check_recursion(GR, F(1, 8), k, 24).ok
+
+
+def test_symbol_evaluates_g_once_per_point(cold_ladder, monkeypatch):
+    # the symbol form reads G(i beta) from the (G, beta) record, so k = 1..6
+    # at order 24 evaluate each point once, not once per k and coefficient
+    calls = []
+    real = analytic.eval_weight_gen
+    monkeypatch.setattr(analytic, "eval_weight_gen",
+                        lambda G, x: calls.append(x) or real(G, x))
+    for k in range(1, 7):
+        assert check_spectral(GR, F(1, 8), k, 24).ok
+    # s - 1 runs over -5..23 for k = 1..6
+    assert len(calls) == len(set(calls)) == 29
 
 
 def test_kappa_example():
@@ -435,6 +448,47 @@ def test_shared_prefactor_negative_control(monkeypatch):
     assert err.value.code == "calibration-failed"
 
 
+def horner(p, x):
+    """The series p at x != 0 by a Fraction Horner loop."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc * x ** p.lead_exp
+
+
+def det_form_by_horner(G, beta, xs, rows, scale):
+    """beta^-n scale prod x^(n-1) det[row(x_j)] / (Delta(x) prod rho_{-i}), each
+    entry a Fraction evaluated by Horner."""
+    n = len(xs)
+    det = exact_det([[horner(p, x) for x in xs] for p in rows])
+    pref = scale * prod(x ** (n - 1) for x in xs) / prod(rho(G, -i, beta) for i in range(1, n + 1))
+    return beta ** -n * pref * det / vandermonde(xs)
+
+
+DET_CASES = [(GR, F(1, 7)), (WeightGen.finite_product([1, F(1, 2), F(-1, 3)]), F(-1, 5)),
+             (WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]), F(2, 13)),
+             (replace(GQ, M=60), F(1, 9))]
+
+
+@pytest.mark.parametrize("G, beta", DET_CASES,
+                         ids=lambda v: v.describe() if isinstance(v, WeightGen) else str(v))
+def test_det_forms_equal_horner_reference(G, beta):
+    # the determinant forms evaluate each row as one int at x = u/v; they must
+    # equal the Fraction evaluation at points of mixed signs and denominators
+    xs = [F(1, 101), F(-1, 103), F(2, 107), F(-3, 109)]
+    for n in range(1, 5):
+        for J in sorted({n, n + 3, 8}):
+            phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
+            got = tau_det_rep(G, beta, xs[:n], J)
+            assert got.value == det_form_by_horner(G, beta, xs[:n], phis, 1)
+            assert got.beta_exponent == -n
+            rows = [phi_k(G, beta, n, J)]
+            for _ in range(n - 1):
+                rows.append(euler_apply(rows[-1]))
+            want = det_form_by_horner(G, beta, xs[:n], rows, (-beta) ** (n * (n - 1) // 2))
+            assert tau_wronskian(G, beta, xs[:n], J).value == want == got.value
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_wronskian_equals_det_rep(n):
     xs = [F(1, 100), F(1, 200), F(1, 300)][:n]
@@ -515,8 +569,11 @@ def ode_by_subtraction(p, G):
     return out
 
 
-@pytest.mark.parametrize("G, beta, M", [(GR, F(1, 8), None),
-                                        (WeightGen.quantum(F(-1, 2)), F(1, 23), 40)])
+@pytest.mark.parametrize("G, beta, M", [
+    (GR, F(1, 8), None), (WeightGen.quantum(F(-1, 2)), F(1, 23), 40),
+    (WeightGen.finite_product([-1, F(-1, 2), F(1, 3)]), F(-1, 8), None),
+    # two u and two v: the cleared ODE puts each pair over one denominator
+    (WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]), F(2, 13), None)])
 def test_compare_first_residuals_equal_subtraction(G, beta, M):
     # residuals compare before they subtract; the lists must equal the plain
     # differences, on valid series and on series with one coefficient off
@@ -530,9 +587,12 @@ def test_compare_first_residuals_equal_subtraction(G, beta, M):
         for v in variants:
             got = spectral_residuals(v, G)
             assert got == spectral_by_subtraction(v, G)
+            assert all(type(r) is F for r in got)
             nonzero += any(got)
             if M is None:
-                assert ode_residuals(v, G) == ode_by_subtraction(v, G)
+                got = ode_residuals(v, G)
+                assert got == ode_by_subtraction(v, G)
+                assert all(type(r) is F for r in got)
         if k == 1:
             continue
         prev = phi_k(G, beta, k - 1, max_regular_order(G, beta, k - 1, 24)[0])
