@@ -336,15 +336,13 @@ def det_rep_calibration(n: int) -> int:
     Determined once by exact Schur-coefficient comparison against the direct
     series (see calibrate_det_exponent): the literal ratio-of-determinants
     formula carries one surplus factor of beta per basis index, so the
-    corrected prefactor divides by beta * rho_{-i} for i = 1..n.
+    corrected prefactor divides by beta * rho_{-i} for i = 1..n.  The
+    literal coefficient of s_lambda is
+        prod_j rho_{lambda_j - j} / rho_{-j} * beta^(...) * det[1 / (lambda_j - j + i)!]
+    (see _literal_minors), so the comparison sets the ladder's row products
+    against the content products r_lambda / h_lambda.
     """
     return -n
-
-
-def _wronskian_sign(n: int) -> int:
-    # row reduction from phi_i to euler-derivatives of phi_n reverses the
-    # row order; the reversal permutation has sign (-1)^(n(n-1)/2)
-    return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -425,7 +423,9 @@ def tau_wronskian(G: WeightGen, beta, X, J: int) -> DetRepValue:
     rows = [phi_k(G, beta, n, J)]
     for _ in range(n - 1):
         rows.append(euler_apply(rows[-1]))
-    return _det_form(G, beta, xs, rows, _wronskian_sign(n) * beta ** (n * (n - 1) // 2))
+    # row reduction from phi_i to euler-derivatives of phi_n reverses the
+    # row order; the reversal permutation has sign (-1)^(n(n-1)/2)
+    return _det_form(G, beta, xs, rows, (-beta) ** (n * (n - 1) // 2))
 
 
 # -- Schur-basis comparison ------------------------------------------------
@@ -444,6 +444,13 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int, max_deg: int | None = No
     rho_{-i} prefactor, c_i(m) being the x^m coefficient of x^(n-1) phi_i;
     every |lambda| <= 1 - n + J is exact.  With ``max_deg`` only the
     minors of |lambda| <= max_deg are taken; the rows are still built to J.
+
+    Column c of the array carries the one factor rho_{c-n}: its entry in
+    row i is beta^(1-j) rho_{c-n} / j! with j = c - n + i.  So, with
+    i, j = 1..n, the coefficient of s_lambda is
+        prod_j rho_{lambda_j - j} / rho_{-j} * beta^(...) * det[1 / (lambda_j - j + i)!],
+    and each minor is taken on the small ints left once the column factors
+    are divided out, with its columns' rho multiplied back in.
     """
     beta = Fraction(beta)
     if n < 1:
@@ -453,27 +460,26 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int, max_deg: int | None = No
     phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
     pref = _rho_prefactor(G, beta, n)
     top = 1 - n + J if max_deg is None else min(max_deg, 1 - n + J)
+    # rho_{c-n} of each column c the minors read, from the ladder that phi_n
+    # has grown through rho_{J-n}; a zero column is all zeros and stays undivided
+    record = _rho_ladder(G, beta)
+    ladder = record.neg[n - 1::-1] + record.pos  # rho_{-n}, rho_{1-n}, ...
+    rhos = [ladder[c] or Fraction(1) for c in range(top + n)]
     # one row per phi_i: its coefficients of x^(1-n) .. x^top, the powers the
-    # minors read; x^m sits in column m + n - 1
-    coeffs = [[p.power_coeff(m) for m in range(1 - n, top + 1)] for p in phis]
-    cleared = {}  # last column c -> rows through c cleared to ints, and their scale
+    # minors read, each over its column's rho; x^m sits in column m + n - 1
+    rows, scale = [], pref.denominator
+    for p in phis:
+        ints, L = _cleared([p.power_coeff(c + 1 - n) / r for c, r in enumerate(rhos)])
+        rows.append(ints)
+        scale *= L
     out = {}
     for lam in partitions_up_to(top, n):
         parts = lam + (0,) * (n - len(lam))
         cols = [parts[j] - j + n - 1 for j in range(n)]
-        # the denominators grow with the power, so a minor's rows are cleared
-        # only through its last column, cols[0]
-        if cols[0] not in cleared:
-            rows, scale = [], pref.denominator
-            for row in coeffs:
-                ints, L = _cleared(row[:cols[0] + 1])
-                rows.append(ints)
-                scale *= L
-            cleared[cols[0]] = rows, scale
-        rows, scale = cleared[cols[0]]
         minor = _int_det([[row[c] for c in cols] for row in rows])
         if minor:
-            out[lam] = Fraction(pref.numerator * minor, scale)
+            out[lam] = Fraction(pref.numerator * minor * prod(rhos[c].numerator for c in cols),
+                                scale * prod(rhos[c].denominator for c in cols))
     return out
 
 
@@ -503,7 +509,11 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int)
 
     Compares the two Schur-basis routes on every coefficient of degree
     <= compare_deg and returns the unique exponent; raises if no pure power
-    of beta reconciles them.
+    of beta reconciles them.  The literal side is
+        prod_j rho_{lambda_j - j} / rho_{-j} * beta^(...) * det[1 / (lambda_j - j + i)!],
+    the direct side r_lambda(beta) / h_lambda: the ladder's row products
+    against the content products.  Both sides read G through
+    eval_weight_gen, so an error in G shared by the two is not caught here.
     """
     beta = Fraction(beta)
     if abs(beta) == 1:

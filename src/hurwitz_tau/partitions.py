@@ -56,13 +56,6 @@ def cycle_type(perm: tuple[int, ...]) -> Partition:
     return tuple(sorted(sizes, reverse=True))
 
 
-def multiplicities(mu: Partition) -> dict[int, int]:
-    m: dict[int, int] = {}
-    for part in mu:
-        m[part] = m.get(part, 0) + 1
-    return m
-
-
 def z_of(mu: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type ``mu``.
 
@@ -70,32 +63,20 @@ def z_of(mu: Partition) -> int:
     the conjugacy class has n!/z_mu elements.
     """
     z = 1
-    for part, m in multiplicities(mu).items():
+    for part in set(mu):
+        m = mu.count(part)
         z *= part ** m * factorial(m)
     return z
 
 
-def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
-
-
-def hook_lengths(lam: Partition) -> list[int]:
-    """Hook lengths of every cell, row by row."""
-    conj = conjugate(lam)
-    return [
-        lam[i] - (j + 1) + conj[j] - (i + 1) + 1
-        for i in range(len(lam))
-        for j in range(lam[i])
-    ]
-
-
 def hook_product(lam: Partition) -> int:
     """Product of all hook lengths; dim(lam) = n!/hook_product(lam)."""
+    # conj[j] is the length of column j
+    conj = [sum(p > j for p in lam) for j in range(max(lam, default=0))]
     h = 1
-    for x in hook_lengths(lam):
-        h *= x
+    for i, row in enumerate(lam):
+        for j in range(row):
+            h *= row - j + conj[j] - i - 1
     return h
 
 

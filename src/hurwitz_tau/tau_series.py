@@ -33,19 +33,14 @@ from .partitions import (
 from .weights import WeightGen, eval_weight_gen, g_coeffs
 
 
-@cache
-def _content_series(G: WeightGen, content: int, D: int) -> BetaSeries:
-    # built from Taylor coefficients, never by evaluating G at a number,
-    # so the quantum family stays exact at the formal level
-    gs = g_coeffs(G, D)
-    return BetaSeries([gs[m] * content ** m for m in range(D + 1)])
-
-
 def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
     """Content product prod_{cells} G(content * beta) as a beta-series of order D."""
+    # each cell's factor is built from Taylor coefficients, never by evaluating
+    # G at a number, so the quantum family stays exact at the formal level
+    gs = g_coeffs(G, D)
     series = BetaSeries.one(D)
     for c in contents(as_partition(lam)):
-        series = series * _content_series(G, c, D)
+        series = series * BetaSeries([g * c ** m for m, g in enumerate(gs)])
     return series
 
 

@@ -631,3 +631,52 @@ def test_bounded_literal_minors_are_the_restricted_dict(G):
                     got = list(analytic._literal_minors(G, beta, n, J, d).items())
                     assert got == [(lam, v) for lam, v in full if sum(lam) <= d]
     assert cases == 432
+
+
+def literal_minors_by_last_column(G, beta, n, J, max_deg=None):
+    """Schur minors of the unfactored phi coefficient array: each minor's
+    rows are cleared to ints through its last column, then one int determinant."""
+    phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
+    pref = F(1)
+    for i in range(1, n + 1):
+        pref /= rho(G, -i, beta)
+    top = 1 - n + J if max_deg is None else min(max_deg, 1 - n + J)
+    coeffs = [[p.power_coeff(m) for m in range(1 - n, top + 1)] for p in phis]
+    cleared, out = {}, {}
+    for lam in analytic.partitions_up_to(top, n):
+        parts = lam + (0,) * (n - len(lam))
+        cols = [parts[j] - j + n - 1 for j in range(n)]
+        if cols[0] not in cleared:
+            rows, scale = [], pref.denominator
+            for row in coeffs:
+                ints, L = tau_series._cleared(row[:cols[0] + 1])
+                rows.append(ints)
+                scale *= L
+            cleared[cols[0]] = rows, scale
+        rows, scale = cleared[cols[0]]
+        minor = analytic._int_det([[row[c] for c in cols] for row in rows])
+        if minor:
+            out[lam] = F(pref.numerator * minor, scale)
+    return out
+
+
+@pytest.mark.parametrize("G, betas, zero_from", [
+    (GR, (F(1, 7), F(2, 11)), None),
+    (WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]), (F(1, 7), F(2, 11)), None),
+    # G(5 beta) = 0 and G(3 beta) = 0: the columns from rho_5 and rho_3 on are zero
+    (WeightGen.finite_product([1, F(1, 2), F(-1, 3)]), (F(-1, 5),), 5),
+    (WeightGen.finite_product([-1]), (F(1, 3),), 3),
+    (replace(GQ, M=40), (F(1, 23), F(2, 47)), None),
+], ids=lambda v: v.describe() if isinstance(v, WeightGen) else None)
+def test_factored_minors_match_last_column_clearing(G, betas, zero_from):
+    # the minors taken on the array with each column's rho divided out equal
+    # the minors of the unfactored array, value for value and key for key
+    for beta in betas:
+        if zero_from is not None:
+            assert rho(G, zero_from - 1, beta) != 0 and rho(G, zero_from, beta) == 0
+        for n in range(1, 5):
+            for J in sorted({n, 8, 14}):
+                for d in (None, 0, 1, 2, 3):
+                    got = analytic._literal_minors(G, beta, n, J, d)
+                    want = literal_minors_by_last_column(G, beta, n, J, d)
+                    assert list(got.items()) == list(want.items()), (beta, n, J, d)

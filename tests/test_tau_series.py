@@ -16,7 +16,6 @@ from hurwitz_tau.partitions import (
     z_of,
 )
 from hurwitz_tau.tau_series import (
-    _content_series,
     _integer_ladder,
     _pack,
     _packed_ladder,
@@ -72,11 +71,13 @@ def test_rho_recurrence_identity():
             for j in js:
                 assert rho(G, j, beta) == _rho_by_products(G, j, beta), (G.kind, j)
     for G in (G1, GR, GQ):
+        gs = g_coeffs(G, 6)
         for j in range(1, 6):
             ej, sj = rho_formal(G, j, 6)
             ejm1, sjm1 = rho_formal(G, j - 1, 6)
             assert ej - ejm1 == 1
-            assert sj == sjm1 * _content_series(G, j, 6)
+            # the factor G(j beta) from its Taylor coefficients
+            assert sj == sjm1 * BetaSeries([g * j ** m for m, g in enumerate(gs)])
 
 
 def test_rho_singular_negative_names_offending_factor():
