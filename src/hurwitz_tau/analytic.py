@@ -145,23 +145,35 @@ def _identity_report(identity: str, k: int, beta: Fraction, J: int, checked: int
     )
 
 
-def _difference(a: Fraction, b: Fraction) -> Fraction:
-    """a - b, compared first: a residual is almost always 0, and two reduced
-    fractions compare in linear time where subtracting them costs a gcd."""
-    return Fraction(0) if a == b else a - b
+def _residual(a: Fraction, f: Fraction, b: Fraction, m: int = 1) -> Fraction:
+    """a f - m b, decided by one exact integer quotient: a residual is almost
+    always 0, and forming it as a Fraction costs two gcds on big operands.
+
+    With b = N/D reduced, a f = m b iff N divides na fn and
+    (na fn // N) D = m da fd, since gcd(N, D) = 1; when N = 0, iff na fn = 0.
+    The quotient is small, so this is one divmod and two big-by-small products.
+    """
+    nf = a.numerator * f.numerator
+    N = b.numerator
+    if N == 0:
+        equal = nf == 0
+    else:
+        q, r = divmod(nf, N)
+        equal = r == 0 and q * b.denominator == m * a.denominator * f.denominator
+    return Fraction(0) if equal else a * f - m * b
 
 
 def recursion_residuals(phi_km1: PhiSeries, phi_kk: PhiSeries) -> list[Fraction]:
     """Coefficients of beta (D + k - 1) phi_k - phi_{k-1} on shared powers.
 
     D acts on x^m as m, so the left side's x^m coefficient is
-    beta (m + k - 1) c_m.
+    beta (m + k - 1) c_m.  Each is decided by ``_residual`` with
+    f = beta (m + k - 1), on the two series' own coefficients.
     """
     k = phi_kk.k
     beta = phi_kk.beta
     top = min(phi_kk.lead_exp + phi_kk.order, phi_km1.lead_exp + phi_km1.order)
-    return [_difference(beta * (m + k - 1) * phi_kk.power_coeff(m),
-                        phi_km1.power_coeff(m))
+    return [_residual(phi_kk.power_coeff(m), beta * (m + k - 1), phi_km1.power_coeff(m))
             for m in range(phi_kk.lead_exp, top + 1)]
 
 
@@ -191,9 +203,11 @@ def check_recursion(G: WeightGen, beta, k: int, J: int,
 def spectral_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
     """Coefficients of (x G(beta D) - D - (k-1)) phi_k, one per power of x.
 
-    The coefficient of x^s is a_{s-1} G(beta (s-1)) - (s + k - 1) a_s.
-    Each G(i beta) is evaluated once per (G, beta) and kept in its record.
-    Raises if G must be evaluated at one of its poles.
+    The coefficient of x^s is a_{s-1} G(beta (s-1)) - (s + k - 1) a_s,
+    decided by ``_residual`` with f = G(beta (s-1)) and m = s + k - 1.
+    Each G(i beta) is evaluated once per (G, beta) and kept in its record,
+    never derived from the rho values.  Raises if G must be evaluated at
+    one of its poles.
     """
     k, beta = p.k, p.beta
     g = _rho_ladder(G, beta).g
@@ -202,7 +216,7 @@ def spectral_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
         s = p.lead_exp + j
         if s - 1 not in g:
             g[s - 1] = eval_weight_gen(G, beta * (s - 1))
-        out.append(_difference(p.coeff(j - 1) * g[s - 1], (s + k - 1) * p.coeff(j)))
+        out.append(_residual(p.coeff(j - 1), g[s - 1], p.coeff(j), s + k - 1))
     return out
 
 

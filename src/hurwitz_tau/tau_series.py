@@ -193,7 +193,7 @@ def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
                     f"rho_{j} undefined: G({i}*beta) is singular ({exc})",
                     code="singular-rho",
                 ) from exc
-            ladder.append(ladder[-1] * beta * g)
+            ladder.append(ladder[-1] * (beta * g))
         return ladder[j]
     ladder = record.neg
     while len(ladder) < -j:

@@ -5,6 +5,8 @@ from itertools import permutations
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_tau import analytic, tau_series
 from hurwitz_tau.analytic import (
@@ -130,6 +132,18 @@ def test_spectral_catches_one_wrong_rho(cold_ladder, monkeypatch):
     for k in (2, 3, 4):
         assert not check_spectral(GR, F(1, 8), k, 24).ok
         assert check_recursion(GR, F(1, 8), k, 24).ok
+
+
+def test_spectral_catches_one_wrong_rho_quantum(cold_ladder, monkeypatch):
+    # the same fault on quantum G_40: its coefficients reach ~20k bits, so the
+    # symbol form's exact decision must still see a 2^-50 error in rho_3
+    G = replace(GQ, M=40)
+    real = analytic.rho
+    monkeypatch.setattr(analytic, "rho",
+                        lambda G, j, beta: real(G, j, beta) * (1 + F(1, 2 ** 50) * (j == 3)))
+    for k in (2, 3, 4):
+        assert not check_spectral(G, F(1, 23), k, 24).ok
+        assert check_recursion(G, F(1, 23), k, 24).ok
 
 
 def test_symbol_evaluates_g_once_per_point(cold_ladder, monkeypatch):
@@ -575,8 +589,8 @@ def ode_by_subtraction(p, G):
     # two u and two v: the cleared ODE puts each pair over one denominator
     (WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]), F(2, 13), None)])
 def test_compare_first_residuals_equal_subtraction(G, beta, M):
-    # residuals compare before they subtract; the lists must equal the plain
-    # differences, on valid series and on series with one coefficient off
+    # residuals are decided before they are subtracted; the lists must equal
+    # the plain differences, on valid series and on series with one coefficient off
     G = replace(G, M=M)
     eps = F(1, 2 ** 50)
     nonzero = 0
@@ -603,6 +617,37 @@ def test_compare_first_residuals_equal_subtraction(G, beta, M):
             assert all(type(r) is F for r in got)
             nonzero += any(got)
     assert nonzero > 40  # the perturbed series really do show residuals
+
+
+@pytest.mark.parametrize("a, f, b, m", [
+    (F(3, 7), F(0), F(0), 1),            # N = 0 and a f = 0
+    (F(3, 7), F(2, 5), F(0), 4),         # N = 0 and a f != 0
+    (F(0), F(5, 3), F(1, 9), 1),         # a = 0 against N != 0
+    (F(-5, 2), F(0), F(0), 1),           # f = 0: the first recursion coefficient
+    (F(-5, 2), F(0), F(7, 3), 1),
+    (F(2, 3), F(3, 4), F(5, 11), 0),     # m = 0
+    (F(0), F(3, 4), F(5, 11), 0),
+    (F(2, 3), F(3, 4), F(-1, 6), -3),    # negative m, equal
+    (F(2, 3), F(3, 4), F(1, 6), -3),
+    (F(-7), F(1), F(3), -3),             # negative operands: q D = m da fd, r != 0
+    (F(5), F(1), F(2), 2),               # the same with r > 0
+    (F(-4, 9), F(-3, 2), F(2, 3), 1),    # negative operands, equal
+    (F(1, 3), F(2), F(2, 5), 1),         # N | na fn, but the denominators differ
+    (F(1, 3), F(2), F(2, 3), 1),
+])
+def test_residual_is_the_plain_difference(a, f, b, m):
+    got = analytic._residual(a, f, b, m)
+    assert type(got) is F and got == a * f - m * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.fractions(max_denominator=10 ** 6), f=st.fractions(max_denominator=10 ** 3),
+       m=st.integers(-5, 5), b=st.fractions(max_denominator=10 ** 6), equal=st.booleans())
+def test_residual_property(a, f, m, b, equal):
+    if equal and m:
+        b = a * f / m  # the case every valid series hits
+    got = analytic._residual(a, f, b, m)
+    assert type(got) is F and got == a * f - m * b
 
 
 BOUNDED_GENS = [GT, WeightGen.finite_product([1, F(1, 2), F(-1, 3)]), GR,
