@@ -26,7 +26,7 @@ from .errors import (
 )
 from .partitions import hook_product, partitions_up_to
 from .tau_series import _cleared, _numeric_content_products, _rho_ladder, rho
-from .weights import WeightGen, eval_weight_gen
+from .weights import WeightGen
 
 
 @dataclass(frozen=True)
@@ -205,18 +205,16 @@ def spectral_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
 
     The coefficient of x^s is a_{s-1} G(beta (s-1)) - (s + k - 1) a_s,
     decided by ``_residual`` with f = G(beta (s-1)) and m = s + k - 1.
-    Each G(i beta) is evaluated once per (G, beta) and kept in its record,
-    never derived from the rho values.  Raises if G must be evaluated at
-    one of its poles.
+    Each G(i beta) is read from the (G, beta) record's table, the one the
+    rho ladder grows from, and never derived from the rho values.  Raises
+    if G must be evaluated at one of its poles.
     """
     k, beta = p.k, p.beta
-    g = _rho_ladder(G, beta).g
+    record = _rho_ladder(G, beta)
     out = [-(p.lead_exp + k - 1) * p.coeff(0)]
     for j in range(1, p.order + 1):
         s = p.lead_exp + j
-        if s - 1 not in g:
-            g[s - 1] = eval_weight_gen(G, beta * (s - 1))
-        out.append(_residual(p.coeff(j - 1), g[s - 1], p.coeff(j), s + k - 1))
+        out.append(_residual(p.coeff(j - 1), record.g_at(s - 1), p.coeff(j), s + k - 1))
     return out
 
 
@@ -474,11 +472,9 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int, max_deg: int | None = No
     phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
     pref = _rho_prefactor(G, beta, n)
     top = 1 - n + J if max_deg is None else min(max_deg, 1 - n + J)
-    # rho_{c-n} of each column c the minors read, from the ladder that phi_n
-    # has grown through rho_{J-n}; a zero column is all zeros and stays undivided
-    record = _rho_ladder(G, beta)
-    ladder = record.neg[n - 1::-1] + record.pos  # rho_{-n}, rho_{1-n}, ...
-    rhos = [ladder[c] or Fraction(1) for c in range(top + n)]
+    # rho_{c-n} of each column c the minors read, which phi_n has already
+    # taken; a zero column is all zeros and stays undivided
+    rhos = [rho(G, c - n, beta) or Fraction(1) for c in range(top + n)]
     # one row per phi_i: its coefficients of x^(1-n) .. x^top, the powers the
     # minors read, each over its column's rho; x^m sits in column m + n - 1
     rows, scale = [], pref.denominator
@@ -526,8 +522,9 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int)
     of beta reconciles them.  The literal side is
         prod_j rho_{lambda_j - j} / rho_{-j} * beta^(...) * det[1 / (lambda_j - j + i)!],
     the direct side r_lambda(beta) / h_lambda: the ladder's row products
-    against the content products.  Both sides read G through
-    eval_weight_gen, so an error in G shared by the two is not caught here.
+    against the content products.  The ladder reads G from its (G, beta)
+    table and the content products evaluate it on their own, but both
+    through eval_weight_gen, so an error there is not caught here.
     """
     beta = Fraction(beta)
     if abs(beta) == 1:

@@ -62,7 +62,8 @@ def _content_products(extend, one, shapes) -> dict:
 
 
 def _numeric_content_products(G: WeightGen, beta: Fraction, shapes) -> dict:
-    """prod_{cells} G(content * beta) of every lambda in shapes, at a number beta."""
+    """prod_{cells} G(content * beta) of every lambda in shapes, at a number beta;
+    G is evaluated here, not read from the (G, beta) table the rho ladder uses."""
     return _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1), shapes)
 
 
@@ -150,25 +151,35 @@ def _unpack(P: int, S: int, count: int) -> list[int]:
 class _Ladder:
     """What is known so far at one (G, beta), grown in place.
 
-    pos holds rho_0, rho_1, ...; neg holds rho_{-1}, rho_{-2}, ...; both
-    are grown by :func:`rho`.  phi[k] holds the coefficients of phi_k found
-    so far, grown by :func:`.analytic.phi_k`.  g[i] holds G(i beta) as the
-    symbol form of the spectral check reads it, taken from
-    :func:`eval_weight_gen` and never from the rho values.
+    g[i] holds G(i beta), filled by :meth:`g_at` from :func:`eval_weight_gen`
+    once: the one table of G values that the rho ladder and the symbol form
+    of the spectral check both read.  pos holds rho_0, rho_1, ...; neg holds
+    rho_{-1}, rho_{-2}, ...; both are grown by :func:`rho`.  phi[k] holds
+    the coefficients of phi_k found so far, grown by :func:`.analytic.phi_k`.
     """
 
+    G: WeightGen
+    beta: Fraction
     pos: list[Fraction]
     neg: list[Fraction]
     phi: dict[int, list[Fraction]] = field(default_factory=dict)
     g: dict[int, Fraction] = field(default_factory=dict)
 
+    def g_at(self, i: int) -> Fraction:
+        """G(i beta), evaluated on first use and kept."""
+        g = self.g.get(i)
+        if g is None:
+            g = self.g[i] = eval_weight_gen(self.G, i * self.beta)
+        return g
+
 
 @cache
 def _rho_ladder(G: WeightGen, beta: Fraction) -> _Ladder:
-    """The one record of rho values, phi prefixes and G values at (G, beta)."""
+    """The one record of G values, rho values and phi prefixes at (G, beta);
+    a patched :func:`eval_weight_gen` needs this cache and rho's cleared."""
     if beta == 0:
         raise UsageError("beta must be nonzero", code="bad-beta")
-    return _Ladder([Fraction(1)], [1 / beta])
+    return _Ladder(G, beta, [Fraction(1)], [1 / beta])
 
 
 @cache
@@ -178,7 +189,7 @@ def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
     rho_j = beta^j prod_{i=1..j} G(i beta) for j >= 0 (rho_0 = 1) and
     rho_{-j} = beta^{-j} prod_{i=1..j-1} G(-i beta)^{-1}; the quantum
     family needs a product truncation ``G.M``.  Each value extends the one
-    next to it on the ladder by a single factor of G.
+    next to it on the ladder by a single G value from the record's table.
     """
     beta = Fraction(beta)
     record = _rho_ladder(G, beta)
@@ -187,7 +198,7 @@ def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
         while len(ladder) <= j:
             i = len(ladder)
             try:
-                g = eval_weight_gen(G, i * beta)
+                g = record.g_at(i)
             except SingularParameterError as exc:
                 raise SingularParameterError(
                     f"rho_{j} undefined: G({i}*beta) is singular ({exc})",
@@ -199,7 +210,7 @@ def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
     while len(ladder) < -j:
         # ladder[i - 1] is rho_{-i}; the next value divides by G(-i beta)
         i = len(ladder)
-        g = eval_weight_gen(G, -i * beta)
+        g = record.g_at(-i)
         if g == 0:
             raise SingularParameterError(
                 f"rho_{j} undefined: G(-{i}*beta) = 0 at beta={beta}",

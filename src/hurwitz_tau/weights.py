@@ -103,51 +103,39 @@ def g_coeffs(G: WeightGen, J: int) -> tuple[Fraction, ...]:
 
 
 def eval_weight_gen(G: WeightGen, x: Fraction) -> Fraction:
-    """Exact value G(x); the quantum product is truncated at index ``G.M``."""
+    """Exact value G(x); the quantum product, truncated at index ``G.M``,
+    is the ratio G_M with no c and d = (1, q, ..., q^M)."""
     x = Fraction(x)
     u, v = x.numerator, x.denominator
-    if G.q is None:
-        # with c = a/b, 1 + c x = (b v + a u) / (b v); with d = e/f,
-        # 1 / (1 - d x) = f v / (f v - e u): both products on ints, reduced once
-        num = den = 1
-        for cl in G.c:
-            num *= cl.denominator * v + cl.numerator * u
-            den *= cl.denominator * v
-        for dm in G.d:
-            factor = dm.denominator * v - dm.numerator * u
-            if factor == 0:
-                raise SingularParameterError(
-                    f"pole of weight generating function: 1 - ({dm})*({x}) = 0",
-                    code="weight-gen-pole",
-                )
-            num *= dm.denominator * v
-            den *= factor
-        return Fraction(num, den)
-    M = G.M
-    if M is None:
-        raise UsageError(
-            "quantum weight function needs a product truncation M for evaluation",
-            code="quantum-needs-truncation",
-        )
-    if M < 0:
-        raise UsageError(f"quantum product truncation M must be >= 0, got {M}",
-                         code="bad-truncation")
-    # with q = a/b and x = u/v, factor i is b^i v / (b^i v - a^i u): build
-    # both products on ints and reduce once
-    a, b = G.q.numerator, G.q.denominator
-    den = 1
-    ai, biv = 1, v
-    for i in range(M + 1):
-        factor = biv - ai * u
+    poles = [(dm.numerator, dm.denominator) for dm in G.d]
+    if G.q is not None:
+        if G.M is None:
+            raise UsageError(
+                "quantum weight function needs a product truncation M for evaluation",
+                code="quantum-needs-truncation",
+            )
+        if G.M < 0:
+            raise UsageError(f"quantum product truncation M must be >= 0, got {G.M}",
+                             code="bad-truncation")
+        a, b = G.q.numerator, G.q.denominator
+        poles = [(a ** i, b ** i) for i in range(G.M + 1)]
+    # with c = r/s, 1 + c x = (s v + r u) / (s v); with d = e/f (q^i for G_M),
+    # 1 / (1 - d x) = f v / (f v - e u): both products on ints, reduced once
+    num = den = 1
+    for cl in G.c:
+        num *= cl.denominator * v + cl.numerator * u
+        den *= cl.denominator * v
+    for i, (e, f) in enumerate(poles):
+        factor = f * v - e * u
         if factor == 0:
             raise SingularParameterError(
-                f"pole of quantum weight function: 1 - q^{i}*({x}) = 0",
+                f"pole of weight generating function: 1 - ({G.d[i]})*({x}) = 0"
+                if G.q is None else f"pole of quantum weight function: 1 - q^{i}*({x}) = 0",
                 code="weight-gen-pole",
             )
+        num *= f * v
         den *= factor
-        ai *= a
-        biv *= b
-    return Fraction(b ** (M * (M + 1) // 2) * v ** (M + 1), den)
+    return Fraction(num, den)
 
 
 def _weight_sum(profiles, power_sum) -> Fraction:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz_tau import analytic, tau_series
+from hurwitz_tau import analytic, cli, tau_series
 from hurwitz_tau.analytic import (
     calibrate_det_exponent,
     check_recursion,
@@ -147,16 +147,49 @@ def test_spectral_catches_one_wrong_rho_quantum(cold_ladder, monkeypatch):
 
 
 def test_symbol_evaluates_g_once_per_point(cold_ladder, monkeypatch):
-    # the symbol form reads G(i beta) from the (G, beta) record, so k = 1..6
-    # at order 24 evaluate each point once, not once per k and coefficient
+    # the rho ladder and the symbol form read G(i beta) from one table in the
+    # (G, beta) record, so k = 1..6 at order 24 evaluate each point once, not
+    # once per side, k and coefficient
     calls = []
-    real = analytic.eval_weight_gen
-    monkeypatch.setattr(analytic, "eval_weight_gen",
+    real = tau_series.eval_weight_gen
+    monkeypatch.setattr(tau_series, "eval_weight_gen",
                         lambda G, x: calls.append(x) or real(G, x))
     for k in range(1, 7):
         assert check_spectral(GR, F(1, 8), k, 24).ok
-    # s - 1 runs over -5..23 for k = 1..6
+    # s - 1 runs over -5..23 for k = 1..6; the ladder's i over -5..-1, 1..23
     assert len(calls) == len(set(calls)) == 29
+
+
+def test_ladder_cache_clear_alone_keeps_the_determinant_route(cold_ladder):
+    # a new record under rho's still-warm cache: the literal minors read
+    # their column factors through rho, not from the record's lists
+    assert calibrate_det_exponent(GR, F(1, 7), 3, 12, 5) == -3
+    tau_series._rho_ladder.cache_clear()
+    assert calibrate_det_exponent(GR, F(1, 7), 3, 12, 5) == -3
+
+
+@pytest.mark.parametrize("i, failing", [(2, (1, 2, 3)), (-1, (2, 3))])
+@pytest.mark.parametrize("argv", [
+    ["--gen", "quantum", "--q", "1/2", "--m", "40", "--beta", "1/23"],
+    ["--gen", "rational", "--c", "1", "--d=1/3", "--beta", "1/8"],
+], ids=["quantum", "rational"])
+def test_one_wrong_table_entry_fails_the_determinant_lines(argv, i, failing, cold_ladder,
+                                                           monkeypatch, capsys):
+    # G(i beta) off by 2^-50 in the (G, beta) table: the literal minors read
+    # it through rho, while the direct content products evaluate G on their
+    # own, so the calibration must fail; a fault in eval_weight_gen itself
+    # reaches both sides and is not caught here
+    real = tau_series._Ladder.g_at
+
+    def g_at(self, j):
+        return real(self, j) * (1 + F(1, 2 ** 50) * (j == i))
+
+    monkeypatch.setattr(tau_series._Ladder, "g_at", g_at)
+    code = cli.run(["verify", "--suite", "analytic", "--kmax", "4", "--order", "12", *argv])
+    out = capsys.readouterr().out
+    assert code == 1
+    fails = [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("FAIL determinant")]
+    assert fails == [f"FAIL determinant representation n={n}" for n in failing]
 
 
 def test_kappa_example():

@@ -82,18 +82,21 @@ def test_describe_names_the_truncation():
 
 def test_quantum_eval_matches_fraction_loop():
     # the integer product must give the same value, and at a pole the same
-    # error naming the same first vanishing factor
+    # error naming the same first vanishing factor; G_M is the ratio with
+    # d = (1, q, ..., q^M)
     xs = [F(i, 23) for i in range(-30, 31)] + [F(3, 7), F(-5, 11), F(2), F(4), F(8)]
     evaluated = poles = 0
     for q in (F(1, 2), F(-1, 2), F(2, 3), F(-7, 10), F(9, 10)):
         for M in (0, 1, 5, 12, 40):
             G = WeightGen.quantum(q, M)
+            ratio = WeightGen.rational((), [q ** i for i in range(M + 1)])
             for x in xs:
                 want = quantum_product_by_fractions(q, x, M)
                 evaluated += 1
                 if isinstance(want, F):
                     got = eval_weight_gen(G, x)
                     assert type(got) is F and got == want, (q, M, x)
+                    assert got == eval_weight_gen(ratio, x), (q, M, x)
                     continue
                 poles += 1
                 with pytest.raises(SingularParameterError) as exc:
