@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 from .errors import (
     SingularInputError,
@@ -55,23 +55,25 @@ class PhiSeries:
 def phi_k(G: WeightGen, beta, k: int, J: int) -> PhiSeries:
     """Basis series of index k with coefficients through series order J.
 
-    Coefficient j is beta^(1-j) rho_{j-k} / j!  attached to x^(1-k+j).
-    Raises a singular-parameter error if any required rho value hits a
-    vanishing G(-i beta) or a pole of G.  The coefficients are kept with
-    the rho ladder at (G, beta), so a longer series only extends them.
+    Coefficient j is w_j rho_{j-k}, with w_j = beta^(1-j) / j!, attached
+    to x^(1-k+j).  Raises a singular-parameter error if any required rho
+    value hits a vanishing G(-i beta) or a pole of G.  The coefficients are
+    kept with the rho ladder at (G, beta), so a longer series only extends
+    them, and w is read from the record's one weight row, shared by every k.
+    So the recursion residual at x^m, rho_{m-1} (beta j w_j - w_{j-1}) with
+    j = m + k - 1, is zero iff beta j w_j = w_{j-1} where rho_{m-1} != 0.
     """
     if k < 1:
         raise UsageError("basis index k must be >= 1", code="bad-index")
     if J < 0:
         raise UsageError("series order must be >= 0", code="bad-order")
     beta = Fraction(beta)
-    coeffs = _rho_ladder(G, beta).phi.setdefault(k, [])
+    record = _rho_ladder(G, beta)
+    coeffs = record.phi.setdefault(k, [])
     if len(coeffs) <= J:
-        # the weight beta^(1-j) / j! of coefficient j, stepped along
-        w = beta ** (1 - len(coeffs)) / factorial(len(coeffs))
+        w = record.weight_row(J)
         for j in range(len(coeffs), J + 1):
-            coeffs.append(w * rho(G, j - k, beta))
-            w /= beta * (j + 1)
+            coeffs.append(w[j] * rho(G, j - k, beta))
     return PhiSeries(k, beta, 1 - k, tuple(coeffs[:J + 1]))
 
 
@@ -145,22 +147,24 @@ def _identity_report(identity: str, k: int, beta: Fraction, J: int, checked: int
     )
 
 
-def _residual(a: Fraction, f: Fraction, b: Fraction, m: int = 1) -> Fraction:
-    """a f - m b, decided by one exact integer quotient: a residual is almost
-    always 0, and forming it as a Fraction costs two gcds on big operands.
+def _residual(a: Fraction, fn: int, fd: int, b: Fraction, m: int = 1) -> Fraction:
+    """a f - m b with f = fn/fd, decided by one exact integer quotient: a
+    residual is almost always 0, and forming it as a Fraction costs two gcds
+    on big operands.
 
     With b = N/D reduced, a f = m b iff N divides na fn and
     (na fn // N) D = m da fd, since gcd(N, D) = 1; when N = 0, iff na fn = 0.
-    The quotient is small, so this is one divmod and two big-by-small products.
+    Neither step needs fn/fd reduced.  The quotient is small, so this is one
+    divmod and two big-by-small products.
     """
-    nf = a.numerator * f.numerator
+    nf = a.numerator * fn
     N = b.numerator
     if N == 0:
         equal = nf == 0
     else:
         q, r = divmod(nf, N)
-        equal = r == 0 and q * b.denominator == m * a.denominator * f.denominator
-    return Fraction(0) if equal else a * f - m * b
+        equal = r == 0 and q * b.denominator == m * a.denominator * fd
+    return Fraction(0) if equal else a * Fraction(fn, fd) - m * b
 
 
 def recursion_residuals(phi_km1: PhiSeries, phi_kk: PhiSeries) -> list[Fraction]:
@@ -168,12 +172,13 @@ def recursion_residuals(phi_km1: PhiSeries, phi_kk: PhiSeries) -> list[Fraction]
 
     D acts on x^m as m, so the left side's x^m coefficient is
     beta (m + k - 1) c_m.  Each is decided by ``_residual`` with
-    f = beta (m + k - 1), on the two series' own coefficients.
+    f = beta (m + k - 1), taken from beta's numerator and denominator as it
+    stands, on the two series' own coefficients.
     """
     k = phi_kk.k
-    beta = phi_kk.beta
+    u, v = phi_kk.beta.numerator, phi_kk.beta.denominator
     top = min(phi_kk.lead_exp + phi_kk.order, phi_km1.lead_exp + phi_km1.order)
-    return [_residual(phi_kk.power_coeff(m), beta * (m + k - 1), phi_km1.power_coeff(m))
+    return [_residual(phi_kk.power_coeff(m), u * (m + k - 1), v, phi_km1.power_coeff(m))
             for m in range(phi_kk.lead_exp, top + 1)]
 
 
@@ -184,8 +189,10 @@ def check_recursion(G: WeightGen, beta, k: int, J: int,
     Checks every coefficient both truncated series can supply; when the rho
     ladder hits a singular value the comparison stops at the last regular
     order and the report says so.  Both sides of the x^m coefficient read
-    the same rho_{m-1}, so this checks how phi is built from rho (the beta
-    powers and factorials), not rho itself.
+    the same rho_{m-1}: the residual there is rho_{m-1} (beta j w_j - w_{j-1})
+    with j = m + k - 1 and w the weight row of :func:`phi_k`, zero iff
+    beta j w_j = w_{j-1} where rho_{m-1} != 0.  So this checks the weight
+    row and the index shift, not rho itself.
     """
     if k < 2:
         raise UsageError("recursion check needs k >= 2 so both indices are >= 1",
@@ -214,7 +221,8 @@ def spectral_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
     out = [-(p.lead_exp + k - 1) * p.coeff(0)]
     for j in range(1, p.order + 1):
         s = p.lead_exp + j
-        out.append(_residual(p.coeff(j - 1), record.g_at(s - 1), p.coeff(j), s + k - 1))
+        g = record.g_at(s - 1)
+        out.append(_residual(p.coeff(j - 1), g.numerator, g.denominator, p.coeff(j), s + k - 1))
     return out
 
 

@@ -154,14 +154,20 @@ class _Ladder:
     g[i] holds G(i beta), filled by :meth:`g_at` from :func:`eval_weight_gen`
     once: the one table of G values that the rho ladder and the symbol form
     of the spectral check both read.  pos holds rho_0, rho_1, ...; neg holds
-    rho_{-1}, rho_{-2}, ...; both are grown by :func:`rho`.  phi[k] holds
-    the coefficients of phi_k found so far, grown by :func:`.analytic.phi_k`.
+    rho_{-1}, rho_{-2}, ...; both are grown by :func:`rho`.  w holds the
+    weight row w_j = beta^(1-j) / j!, grown by :meth:`weight_row`; it does
+    not depend on k.  phi[k] holds the coefficients w_j rho_{j-k} of phi_k
+    found so far, grown by :func:`.analytic.phi_k`.  The recursion residual
+    at x^m reads rho_{m-1} on both sides, so where rho_{m-1} != 0 it is
+    zero iff beta j w_j = w_{j-1} (j = m + k - 1): it checks this row and
+    the index shift.
     """
 
     G: WeightGen
     beta: Fraction
     pos: list[Fraction]
     neg: list[Fraction]
+    w: list[Fraction]
     phi: dict[int, list[Fraction]] = field(default_factory=dict)
     g: dict[int, Fraction] = field(default_factory=dict)
 
@@ -172,14 +178,22 @@ class _Ladder:
             g = self.g[i] = eval_weight_gen(self.G, i * self.beta)
         return g
 
+    def weight_row(self, J: int) -> list[Fraction]:
+        """The row w_0 .. w_J (or longer): w_0 = beta, w_(j+1) = w_j / (beta (j+1)),
+        extended only as far as a longer series asks."""
+        w = self.w
+        while len(w) <= J:
+            w.append(w[-1] / (self.beta * len(w)))
+        return w
+
 
 @cache
 def _rho_ladder(G: WeightGen, beta: Fraction) -> _Ladder:
-    """The one record of G values, rho values and phi prefixes at (G, beta);
-    a patched :func:`eval_weight_gen` needs this cache and rho's cleared."""
+    """The one record of G values, rho values, weight row and phi prefixes at
+    (G, beta); a patched :func:`eval_weight_gen` needs this cache and rho's cleared."""
     if beta == 0:
         raise UsageError("beta must be nonzero", code="bad-beta")
-    return _Ladder(G, beta, [Fraction(1)], [1 / beta])
+    return _Ladder(G, beta, [Fraction(1)], [1 / beta], [beta])
 
 
 @cache

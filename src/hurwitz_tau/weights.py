@@ -37,6 +37,19 @@ class WeightGen:
     q: Fraction | None = None
     M: int | None = None  # quantum product truncation, read where G takes a number
 
+    def __hash__(self) -> int:
+        """The dataclass hash over the five fields, computed on first use and
+        kept outside the fields: every cache keyed on G hashes it once."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = hash((self.kind, self.c, self.d, self.q, self.M))
+            return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle leaves the memo out
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @classmethod
     def trivial(cls) -> "WeightGen":
         return cls("trivial")
@@ -118,7 +131,10 @@ def eval_weight_gen(G: WeightGen, x: Fraction) -> Fraction:
             raise UsageError(f"quantum product truncation M must be >= 0, got {G.M}",
                              code="bad-truncation")
         a, b = G.q.numerator, G.q.denominator
-        poles = [(a ** i, b ** i) for i in range(G.M + 1)]
+        e, f = 1, 1
+        for _ in range(G.M + 1):  # (a^i, b^i), one multiplication a step
+            poles.append((e, f))
+            e, f = e * a, f * b
     # with c = r/s, 1 + c x = (s v + r u) / (s v); with d = e/f (q^i for G_M),
     # 1 / (1 - d x) = f v / (f v - e u): both products on ints, reduced once
     num = den = 1

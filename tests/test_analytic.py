@@ -168,6 +168,51 @@ def test_ladder_cache_clear_alone_keeps_the_determinant_route(cold_ladder):
     assert calibrate_det_exponent(GR, F(1, 7), 3, 12, 5) == -3
 
 
+def phi_by_per_k_stepping(G, beta, k, J):
+    """phi_k's coefficients with the weight stepped for this k alone, as
+    each k once did: w = beta^(1-j) / j!, divided by beta (j + 1) after
+    coefficient j.  A singular rho gives its message instead."""
+    w, out = beta, []  # beta^(1-0) / 0!
+    try:
+        for j in range(J + 1):
+            out.append(w * rho(G, j - k, beta))
+            w /= beta * (j + 1)
+    except SingularParameterError as exc:
+        return str(exc)
+    return tuple(out)
+
+
+PHI_GROWTH_ORDERS = {
+    "k down": [(k, 14) for k in range(6, 0, -1)],
+    "short J then long J": [(k, J) for J in (3, 14) for k in range(1, 7)],
+    "interleaved": [(1, 2), (4, 9), (2, 14), (6, 5), (1, 14), (3, 7), (6, 14), (2, 3),
+                    (4, 14), (3, 14), (5, 8), (5, 14)],
+}
+
+
+@pytest.mark.parametrize("G", [GT, GR, WeightGen.finite_product([1, F(1, 2), F(-1, 3)]),
+                               WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]),
+                               replace(GQ, M=40)], ids=lambda G: G.describe())
+def test_phi_weight_row_matches_per_k_stepping(G, cold_ladder):
+    # every phi_k reads w_j from the one weight row of its (G, beta) record;
+    # whatever order the series grow in, each must equal its own stepping
+    regular = 0
+    for beta in (F(1, 7), F(-1, 5), F(2, 11), F(1, 23)):
+        for steps in PHI_GROWTH_ORDERS.values():
+            tau_series._rho_ladder.cache_clear()
+            tau_series.rho.cache_clear()
+            for k, J in steps:
+                try:
+                    got = phi_k(G, beta, k, J).coeffs
+                except SingularParameterError as exc:
+                    got = str(exc)
+                assert got == phi_by_per_k_stepping(G, beta, k, J), (beta, k, J)
+                regular += type(got) is tuple
+    # of the 4 x 30 series, G_40 cannot build the 32 that meet its poles at
+    # i beta = 1 or 2 (beta = 1/7, 2/11) or phi_6 at beta = -1/5
+    assert regular == (120 if G.q is None else 88)
+
+
 @pytest.mark.parametrize("i, failing", [(2, (1, 2, 3)), (-1, (2, 3))])
 @pytest.mark.parametrize("argv", [
     ["--gen", "quantum", "--q", "1/2", "--m", "40", "--beta", "1/23"],
@@ -669,17 +714,19 @@ def test_compare_first_residuals_equal_subtraction(G, beta, M):
     (F(1, 3), F(2), F(2, 3), 1),
 ])
 def test_residual_is_the_plain_difference(a, f, b, m):
-    got = analytic._residual(a, f, b, m)
+    got = analytic._residual(a, f.numerator, f.denominator, b, m)
     assert type(got) is F and got == a * f - m * b
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=st.fractions(max_denominator=10 ** 6), f=st.fractions(max_denominator=10 ** 3),
-       m=st.integers(-5, 5), b=st.fractions(max_denominator=10 ** 6), equal=st.booleans())
-def test_residual_property(a, f, m, b, equal):
+       m=st.integers(-5, 5), b=st.fractions(max_denominator=10 ** 6), equal=st.booleans(),
+       s=st.integers(1, 12))
+def test_residual_property(a, f, m, b, equal, s):
     if equal and m:
         b = a * f / m  # the case every valid series hits
-    got = analytic._residual(a, f, b, m)
+    # f as s fn / (s fd): the recursion passes beta (m + k - 1) unreduced
+    got = analytic._residual(a, s * f.numerator, s * f.denominator, b, m)
     assert type(got) is F and got == a * f - m * b
 
 

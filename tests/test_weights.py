@@ -1,4 +1,5 @@
-from dataclasses import replace
+import pickle
+from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
 from functools import cache
@@ -12,7 +13,7 @@ from hurwitz_tau import weights
 from hurwitz_tau.errors import SingularParameterError, UsageError
 from hurwitz_tau.hurwitz import ProfileTuple, hurwitz_number
 from hurwitz_tau.partitions import colength, enumerate_partitions, z_of
-from hurwitz_tau.tau_series import extract_H, tau_double_table
+from hurwitz_tau.tau_series import extract_H, rho, tau_double_table
 from hurwitz_tau.weights import (
     WeightGen,
     eval_weight_gen,
@@ -78,6 +79,34 @@ def test_describe_names_the_truncation():
     assert WeightGen.quantum(F(1, 2)).describe() == "quantum(q=1/2)"
     assert WeightGen.quantum(F(1, 2), 40).describe() == "quantum(q=1/2, M=40)"
     assert WeightGen.quantum(F(-7, 10), 0).describe() == "quantum(q=-7/10, M=0)"
+
+
+def test_weight_gen_hash_is_kept_but_not_a_field():
+    # the hash is computed once per object and kept; it is the dataclass hash
+    # over the five fields, so equal G built apart hash equal and share caches
+    G = WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)])
+    H = WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)])
+    assert G is not H and "_hash" not in vars(G)
+    assert hash(G) == hash(H) == hash((G.kind, G.c, G.d, G.q, G.M))
+    assert vars(G)["_hash"] == hash(G)
+    rho(G, 3, F(1, 7))
+    hits = rho.cache_info().hits
+    rho(H, 3, F(1, 7))
+    assert rho.cache_info().hits == hits + 1
+    # a replaced G starts without the memo and hashes its own fields
+    Q = WeightGen.quantum(F(1, 2))
+    hash(Q)
+    Q40 = replace(Q, M=40)
+    assert "_hash" not in vars(Q40) and Q40 != Q
+    assert hash(Q40) == hash(("quantum", (), (), F(1, 2), 40)) != hash(Q)
+    # the memo is in no field, so repr, ==, fields and asdict ignore it
+    fresh = WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)])
+    assert "_hash" not in vars(fresh) and G == fresh and repr(G) == repr(fresh)
+    assert [f.name for f in fields(G)] == ["kind", "c", "d", "q", "M"]
+    assert asdict(G) == asdict(fresh)
+    # str hashes differ between processes, so a pickle carries no memo
+    loaded = pickle.loads(pickle.dumps(G))
+    assert "_hash" not in vars(loaded) and loaded == G and hash(loaded) == hash(G)
 
 
 def test_quantum_eval_matches_fraction_loop():
