@@ -25,7 +25,7 @@ from .errors import (
     UsageError,
 )
 from .partitions import hook_product, partitions_up_to
-from .tau_series import _cleared, _numeric_content_products, _rho_ladder, rho
+from .tau_series import _cleared, _Ladder, _numeric_content_products, _rho_ladder
 from .weights import WeightGen
 
 
@@ -58,10 +58,9 @@ def phi_k(G: WeightGen, beta, k: int, J: int) -> PhiSeries:
     Coefficient j is w_j rho_{j-k}, with w_j = beta^(1-j) / j!, attached
     to x^(1-k+j).  Raises a singular-parameter error if any required rho
     value hits a vanishing G(-i beta) or a pole of G.  The coefficients are
-    kept with the rho ladder at (G, beta), so a longer series only extends
-    them, and w is read from the record's one weight row, shared by every k.
-    So the recursion residual at x^m, rho_{m-1} (beta j w_j - w_{j-1}) with
-    j = m + k - 1, is zero iff beta j w_j = w_{j-1} where rho_{m-1} != 0.
+    kept with the rho ladder in the (G, beta) record, so a longer series
+    only extends them; w and rho are read from that record, w from its one
+    weight row, shared by every k.
     """
     if k < 1:
         raise UsageError("basis index k must be >= 1", code="bad-index")
@@ -73,7 +72,7 @@ def phi_k(G: WeightGen, beta, k: int, J: int) -> PhiSeries:
     if len(coeffs) <= J:
         w = record.weight_row(J)
         for j in range(len(coeffs), J + 1):
-            coeffs.append(w[j] * rho(G, j - k, beta))
+            coeffs.append(w[j] * record.rho(j - k))
     return PhiSeries(k, beta, 1 - k, tuple(coeffs[:J + 1]))
 
 
@@ -83,22 +82,22 @@ def max_regular_order(G: WeightGen, beta, k: int, J: int,
 
     Returns (order, reason); reason is None when the full window is regular.
     A singularity among the negative-index rho values (j < k) makes the
-    series unconstructible and is re-raised.  ``rho`` grows each side of
+    series unconstructible and is re-raised.  The record grows each side of
     the ladder up to the first singular index, so the two ends of the
     window decide it, and a reason names the first singular index.
     """
     G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
-    beta = Fraction(beta)
     if J < 0:
         return J, None
+    record = _rho_ladder(G, Fraction(beta))
     # rho_{-k} first, as phi_k is built: it grows the whole negative side
-    rho(G, -k, beta)
+    record.rho(-k)
     try:
-        rho(G, J - k, beta)
+        record.rho(J - k)
     except SingularParameterError:
-        i = len(_rho_ladder(G, beta).pos)
+        i = len(record.pos)
         try:
-            rho(G, i, beta)
+            record.rho(i)
         except SingularParameterError as exc:
             return i + k - 1, str(exc)
         raise
@@ -385,11 +384,12 @@ def _det_inputs(X, J):
     return xs, n
 
 
-def _rho_prefactor(G: WeightGen, beta: Fraction, n: int) -> Fraction:
-    """1 / prod_{i=1..n} rho_{-i}, shared by every determinant form."""
+def _rho_prefactor(record: _Ladder, n: int) -> Fraction:
+    """1 / prod_{i=1..n} rho_{-i} from the (G, beta) record, shared by every
+    determinant form."""
     pref = Fraction(1)
     for i in range(1, n + 1):
-        pref /= rho(G, -i, beta)
+        pref /= record.rho(-i)
     return pref
 
 
@@ -413,7 +413,7 @@ def _det_form(G: WeightGen, beta: Fraction, xs: list[Fraction], rows,
         den *= L
         low = p.lead_exp + n - 1
         matrix.append([sum(c * hom[m] for m, c in enumerate(C, low)) for hom in powers])
-    pref = scale * _rho_prefactor(G, beta, n) / vandermonde(xs)
+    pref = scale * _rho_prefactor(_rho_ladder(G, beta), n) / vandermonde(xs)
     e = det_rep_calibration(n)
     return DetRepValue(beta ** e * pref * Fraction(_int_det(matrix), den), e)
 
@@ -478,11 +478,12 @@ def _literal_minors(G: WeightGen, beta, n: int, J: int, max_deg: int | None = No
     if J < n:
         raise UsageError(f"series order {J} too small for n = {n}", code="bad-order")
     phis = [phi_k(G, beta, i, J - n + i) for i in range(1, n + 1)]
-    pref = _rho_prefactor(G, beta, n)
+    record = _rho_ladder(G, beta)
+    pref = _rho_prefactor(record, n)
     top = 1 - n + J if max_deg is None else min(max_deg, 1 - n + J)
     # rho_{c-n} of each column c the minors read, which phi_n has already
     # taken; a zero column is all zeros and stays undivided
-    rhos = [rho(G, c - n, beta) or Fraction(1) for c in range(top + n)]
+    rhos = [record.rho(c - n) or Fraction(1) for c in range(top + n)]
     # one row per phi_i: its coefficients of x^(1-n) .. x^top, the powers the
     # minors read, each over its column's rho; x^m sits in column m + n - 1
     rows, scale = [], pref.denominator

@@ -149,18 +149,18 @@ def _unpack(P: int, S: int, count: int) -> list[int]:
 
 @dataclass
 class _Ladder:
-    """What is known so far at one (G, beta), grown in place.
+    """What is known so far at one (G, beta), grown in place: the one store
+    of rho values, read by :func:`rho` and by every route of
+    :mod:`.analytic`.
 
     g[i] holds G(i beta), filled by :meth:`g_at` from :func:`eval_weight_gen`
     once: the one table of G values that the rho ladder and the symbol form
     of the spectral check both read.  pos holds rho_0, rho_1, ...; neg holds
-    rho_{-1}, rho_{-2}, ...; both are grown by :func:`rho`.  w holds the
-    weight row w_j = beta^(1-j) / j!, grown by :meth:`weight_row`; it does
-    not depend on k.  phi[k] holds the coefficients w_j rho_{j-k} of phi_k
-    found so far, grown by :func:`.analytic.phi_k`.  The recursion residual
-    at x^m reads rho_{m-1} on both sides, so where rho_{m-1} != 0 it is
-    zero iff beta j w_j = w_{j-1} (j = m + k - 1): it checks this row and
-    the index shift.
+    rho_{-1}, rho_{-2}, ...; both are grown from that table by :meth:`rho`.
+    w holds the weight row w_j = beta^(1-j) / j!, grown by
+    :meth:`weight_row`; it does not depend on k.  phi[k] holds the
+    coefficients w_j rho_{j-k} of phi_k found so far, grown by
+    :func:`.analytic.phi_k`.
     """
 
     G: WeightGen
@@ -178,6 +178,43 @@ class _Ladder:
             g = self.g[i] = eval_weight_gen(self.G, i * self.beta)
         return g
 
+    def _step(self, i: int, j: int) -> Fraction:
+        """G(i beta) for the step toward rho_j; a pole of G is named with j."""
+        try:
+            return self.g_at(i)
+        except SingularParameterError as exc:
+            raise SingularParameterError(
+                f"rho_{j} undefined: G({i}*beta) is singular ({exc})",
+                code="singular-rho",
+            ) from exc
+
+    def rho(self, j: int) -> Fraction:
+        """rho_j = beta^j prod_{i=1..j} G(i beta) for j >= 0 (rho_0 = 1) and
+        rho_{-j} = beta^{-j} prod_{i=1..j-1} G(-i beta)^{-1}.
+
+        Each value extends the one next to it on its side of the ladder by a
+        single G value from the table, and stays; a singular G value stops
+        that side and raises, naming j.
+        """
+        beta = self.beta
+        if j >= 0:
+            ladder = self.pos
+            while len(ladder) <= j:
+                ladder.append(ladder[-1] * (beta * self._step(len(ladder), j)))
+            return ladder[j]
+        ladder = self.neg
+        while len(ladder) < -j:
+            # ladder[i - 1] is rho_{-i}; the next value divides by G(-i beta)
+            i = len(ladder)
+            g = self._step(-i, j)
+            if g == 0:
+                raise SingularParameterError(
+                    f"rho_{j} undefined: G(-{i}*beta) = 0 at beta={beta}",
+                    code="singular-rho",
+                )
+            ladder.append(ladder[-1] / (beta * g))
+        return ladder[-j - 1]
+
     def weight_row(self, J: int) -> list[Fraction]:
         """The row w_0 .. w_J (or longer): w_0 = beta, w_(j+1) = w_j / (beta (j+1)),
         extended only as far as a longer series asks."""
@@ -190,7 +227,7 @@ class _Ladder:
 @cache
 def _rho_ladder(G: WeightGen, beta: Fraction) -> _Ladder:
     """The one record of G values, rho values, weight row and phi prefixes at
-    (G, beta); a patched :func:`eval_weight_gen` needs this cache and rho's cleared."""
+    (G, beta); code that patches :func:`eval_weight_gen` clears this cache."""
     if beta == 0:
         raise UsageError("beta must be nonzero", code="bad-beta")
     return _Ladder(G, beta, [Fraction(1)], [1 / beta], [beta])
@@ -198,40 +235,12 @@ def _rho_ladder(G: WeightGen, beta: Fraction) -> _Ladder:
 
 @cache
 def rho(G: WeightGen, j: int, beta: Fraction) -> Fraction:
-    """Exact value of the normalization constant rho_j at numeric beta.
-
-    rho_j = beta^j prod_{i=1..j} G(i beta) for j >= 0 (rho_0 = 1) and
-    rho_{-j} = beta^{-j} prod_{i=1..j-1} G(-i beta)^{-1}; the quantum
-    family needs a product truncation ``G.M``.  Each value extends the one
-    next to it on the ladder by a single G value from the record's table.
-    """
-    beta = Fraction(beta)
-    record = _rho_ladder(G, beta)
-    if j >= 0:
-        ladder = record.pos
-        while len(ladder) <= j:
-            i = len(ladder)
-            try:
-                g = record.g_at(i)
-            except SingularParameterError as exc:
-                raise SingularParameterError(
-                    f"rho_{j} undefined: G({i}*beta) is singular ({exc})",
-                    code="singular-rho",
-                ) from exc
-            ladder.append(ladder[-1] * (beta * g))
-        return ladder[j]
-    ladder = record.neg
-    while len(ladder) < -j:
-        # ladder[i - 1] is rho_{-i}; the next value divides by G(-i beta)
-        i = len(ladder)
-        g = record.g_at(-i)
-        if g == 0:
-            raise SingularParameterError(
-                f"rho_{j} undefined: G(-{i}*beta) = 0 at beta={beta}",
-                code="singular-rho",
-            )
-        ladder.append(ladder[-1] / (beta * g))
-    return ladder[-j - 1]
+    """Exact value of the normalization constant rho_j at numeric beta,
+    read from the (G, beta) record (:meth:`_Ladder.rho`); the quantum
+    family needs a product truncation ``G.M``.  The package reads the
+    record itself; this cache is kept for the benchmark tracer, which
+    reads ``rho.cache_info()``."""
+    return _rho_ladder(G, Fraction(beta)).rho(j)
 
 
 def rho_formal(G: WeightGen, j: int, D: int) -> tuple[int, BetaSeries]:

@@ -37,19 +37,6 @@ class WeightGen:
     q: Fraction | None = None
     M: int | None = None  # quantum product truncation, read where G takes a number
 
-    def __hash__(self) -> int:
-        """The dataclass hash over the five fields, computed on first use and
-        kept outside the fields: every cache keyed on G hashes it once."""
-        try:
-            return self._hash
-        except AttributeError:
-            h = self.__dict__["_hash"] = hash((self.kind, self.c, self.d, self.q, self.M))
-            return h
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so a pickle leaves the memo out
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     @classmethod
     def trivial(cls) -> "WeightGen":
         return cls("trivial")

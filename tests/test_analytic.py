@@ -126,9 +126,9 @@ def test_spectral_catches_one_wrong_rho(cold_ladder, monkeypatch):
     # rho_3 off by 2^-50 as phi_k reads it: the symbol form compares it with
     # G(3 beta) rho_2 and must fail; the recursion line reads rho_3 on both
     # sides, so it cannot see it (check_recursion's docstring)
-    real = analytic.rho
-    monkeypatch.setattr(analytic, "rho",
-                        lambda G, j, beta: real(G, j, beta) * (1 + F(1, 2 ** 50) * (j == 3)))
+    real = tau_series._Ladder.rho
+    monkeypatch.setattr(tau_series._Ladder, "rho",
+                        lambda self, j: real(self, j) * (1 + F(1, 2 ** 50) * (j == 3)))
     for k in (2, 3, 4):
         assert not check_spectral(GR, F(1, 8), k, 24).ok
         assert check_recursion(GR, F(1, 8), k, 24).ok
@@ -138,9 +138,9 @@ def test_spectral_catches_one_wrong_rho_quantum(cold_ladder, monkeypatch):
     # the same fault on quantum G_40: its coefficients reach ~20k bits, so the
     # symbol form's exact decision must still see a 2^-50 error in rho_3
     G = replace(GQ, M=40)
-    real = analytic.rho
-    monkeypatch.setattr(analytic, "rho",
-                        lambda G, j, beta: real(G, j, beta) * (1 + F(1, 2 ** 50) * (j == 3)))
+    real = tau_series._Ladder.rho
+    monkeypatch.setattr(tau_series._Ladder, "rho",
+                        lambda self, j: real(self, j) * (1 + F(1, 2 ** 50) * (j == 3)))
     for k in (2, 3, 4):
         assert not check_spectral(G, F(1, 23), k, 24).ok
         assert check_recursion(G, F(1, 23), k, 24).ok
@@ -162,10 +162,38 @@ def test_symbol_evaluates_g_once_per_point(cold_ladder, monkeypatch):
 
 def test_ladder_cache_clear_alone_keeps_the_determinant_route(cold_ladder):
     # a new record under rho's still-warm cache: the literal minors read
-    # their column factors through rho, not from the record's lists
+    # their column factors from the record, which grows them again
     assert calibrate_det_exponent(GR, F(1, 7), 3, 12, 5) == -3
     tau_series._rho_ladder.cache_clear()
     assert calibrate_det_exponent(GR, F(1, 7), 3, 12, 5) == -3
+    # and the converse: rho's cache cleared alone under a warm record leaves
+    # every route as it was, and no route of the package fills it again
+    routes = [lambda: calibrate_det_exponent(GR, F(1, 7), 3, 12, 5),
+              lambda: tau_det_polynomial(GR, F(1, 7), 3, 12),
+              lambda: tau_det_rep(GR, F(1, 7), [F(1, 2), F(1, 3), F(2, 5)], 12),
+              lambda: tau_wronskian(GR, F(1, 7), [F(1, 2), F(1, 3), F(2, 5)], 12),
+              lambda: [check_spectral(GR, F(1, 7), k, 24) for k in (1, 2, 3)],
+              lambda: [check_recursion(GR, F(1, 7), k, 24) for k in (2, 3)]]
+    rho(GR, 2, F(1, 7))
+    warm = [route() for route in routes]
+    tau_series.rho.cache_clear()
+    assert [route() for route in routes] == warm
+    assert tau_series.rho.cache_info().currsize == 0
+
+
+def test_ladder_cache_clear_is_the_whole_patch_rule(cold_ladder, monkeypatch):
+    # G(2 beta) off by 2^-50 after a warm ladder, and only _rho_ladder
+    # cleared: phi_k reads rho from the new record, grown from the same
+    # table the symbol form reads, so the symbol form (which restates the
+    # ladder's own rule) still holds
+    G, beta = replace(GQ, M=40), F(1, 23)
+    for k in (2, 3):
+        assert check_spectral(G, beta, k, 20).ok
+    real = tau_series.eval_weight_gen
+    monkeypatch.setattr(tau_series, "eval_weight_gen",
+                        lambda G, x: real(G, x) * (1 + F(1, 2 ** 50) * (x == 2 * beta)))
+    tau_series._rho_ladder.cache_clear()
+    assert [check_spectral(G, beta, k, 20).ok for k in (2, 3)] == [True, True]
 
 
 def phi_by_per_k_stepping(G, beta, k, J):
@@ -347,13 +375,13 @@ def test_phi_prefix_memo_warm_equals_cold(G, beta, cold_ladder):
 ])
 def test_warm_window_asks_rho_at_its_ends(G, beta, k, calls, cold_ladder, monkeypatch):
     cold = max_regular_order(G, beta, k, 24)
-    real, asked = analytic.rho, []
+    real, asked = tau_series._Ladder.rho, []
 
-    def counted(G, j, beta):
+    def counted(self, j):
         asked.append(j)
-        return real(G, j, beta)
+        return real(self, j)
 
-    monkeypatch.setattr(analytic, "rho", counted)
+    monkeypatch.setattr(tau_series._Ladder, "rho", counted)
     assert max_regular_order(G, beta, k, 24) == cold
     assert len(asked) == calls, asked
 

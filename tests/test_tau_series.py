@@ -102,6 +102,16 @@ def test_rho_ladder_errors_name_requested_index():
             rho(GR, j, beta)
         assert str(err.value) == f"rho_{j} undefined: G(-3*beta) = 0 at beta=1/3"
     assert rho(GR, -3, beta) == _rho_by_products(GR, -3, beta)
+    # a pole on the negative side is wrapped as on the positive one: G =
+    # (1 + z)/(1 + 3z) has its pole at -1*beta for beta = 1/3
+    G = WeightGen.rational([1], [-3])
+    for j in (-4, -3, -2):
+        with pytest.raises(SingularParameterError) as err:
+            rho(G, j, beta)
+        assert err.value.code == "singular-rho"
+        assert str(err.value) == (f"rho_{j} undefined: G(-1*beta) is singular (pole of weight "
+                                  "generating function: 1 - (-3)*(-1/3) = 0)")
+    assert rho(G, -1, beta) == 3
 
 
 def test_rho_formal_matches_numeric_when_regular():
