@@ -24,8 +24,8 @@ from .errors import (
     SingularParameterError,
     UsageError,
 )
-from .partitions import hook_product, partitions_up_to
-from .tau_series import _cleared, _Ladder, _numeric_content_products, _rho_ladder
+from .partitions import partitions_up_to
+from .tau_series import _cleared, _Ladder, _rho_ladder, tau_direct_polynomial
 from .weights import WeightGen
 
 
@@ -82,9 +82,10 @@ def max_regular_order(G: WeightGen, beta, k: int, J: int,
 
     Returns (order, reason); reason is None when the full window is regular.
     A singularity among the negative-index rho values (j < k) makes the
-    series unconstructible and is re-raised.  The record grows each side of
-    the ladder up to the first singular index, so the two ends of the
-    window decide it, and a reason names the first singular index.
+    series unconstructible and is re-raised.  The record keeps each side of
+    the ladder up to its first singular index, so the positive side is asked
+    only past what the record holds, and a reason names the first singular
+    index.
     """
     G = G if M is None else replace(G, M=M)  # perfbench passes M positionally
     if J < 0:
@@ -92,15 +93,11 @@ def max_regular_order(G: WeightGen, beta, k: int, J: int,
     record = _rho_ladder(G, Fraction(beta))
     # rho_{-k} first, as phi_k is built: it grows the whole negative side
     record.rho(-k)
-    try:
-        record.rho(J - k)
-    except SingularParameterError:
-        i = len(record.pos)
+    for j in range(len(record.pos), J - k + 1):
         try:
-            record.rho(i)
+            record.rho(j)
         except SingularParameterError as exc:
-            return i + k - 1, str(exc)
-        raise
+            return j + k - 1, str(exc)
     return J, None
 
 
@@ -511,16 +508,6 @@ def tau_det_polynomial(G: WeightGen, beta, n: int, J: int) -> dict:
     minors = _literal_minors(G, beta, n, J)
     scale = Fraction(beta) ** det_rep_calibration(n)
     return {lam: scale * v for lam, v in minors.items()}
-
-
-def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
-    """Direct series in the Schur basis: r_lambda(beta) / h_lambda.
-
-    Covers partitions with at most n parts and |lambda| <= max_deg, so G is
-    never evaluated at a content that only longer diagrams have.
-    """
-    r = _numeric_content_products(G, Fraction(beta), partitions_up_to(max_deg, n))
-    return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
 
 def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int) -> int:

@@ -61,10 +61,17 @@ def _content_products(extend, one, shapes) -> dict:
     return r
 
 
-def _numeric_content_products(G: WeightGen, beta: Fraction, shapes) -> dict:
-    """prod_{cells} G(content * beta) of every lambda in shapes, at a number beta;
-    G is evaluated here, not read from the (G, beta) table the rho ladder uses."""
-    return _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1), shapes)
+def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
+    """Direct series in the Schur basis: the nonzero r_lambda(beta) / h_lambda.
+
+    Covers partitions with at most n parts and |lambda| <= max_deg, so G is
+    never evaluated at a content that only longer diagrams have.  G is
+    evaluated here, not read from the (G, beta) table the rho ladder uses.
+    """
+    beta = Fraction(beta)
+    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1),
+                          partitions_up_to(max_deg, n))
+    return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
 
 def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
@@ -348,18 +355,18 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
 def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
     """Evaluate the single series on the trace invariants of diag(X), exactly.
 
-    Sums h(lam)^{-1} r_lam(beta) s_lam over |lam| <= Nmax with Schur values
-    computed from power sums p_j = sum x_i^j.
+    Sums the coefficients of :func:`tau_direct_polynomial` over |lam| <= Nmax
+    against s_lam(X), computed from power sums p_j = sum x_i^j; a diagram
+    with more rows than X has points has s_lam(X) = 0 and is not taken.
     """
-    beta = Fraction(beta)
     xs = [Fraction(x) for x in X]
     power = {j: sum(x ** j for x in xs) for j in range(1, Nmax + 1)}
-    r = _numeric_content_products(G, beta, partitions_up_to(Nmax))
-    total = Fraction(1)  # empty diagram contributes 1
-    for n in range(1, Nmax + 1):
+    direct = tau_direct_polynomial(G, beta, len(xs), Nmax)
+    total = Fraction(0)
+    for n in range(Nmax + 1):
         rows = character_table(n)
         # sum_mu p_mu(X) sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r / h
-        b, L = _cleared([r[lam] / hook_product(lam) for lam, _, _ in rows])
+        b, L = _cleared([direct.get(lam, 0) for lam, _, _ in rows])
         for (mu, _, zm), k in zip(rows, powersum_numerators(b, rows)):
             if k:
                 total += Fraction(k, L * zm) * prod(power[part] for part in mu)

@@ -71,7 +71,6 @@ class WeightGen:
         return f"{self.kind}(c=[{cs}], d=[{ds}])"
 
 
-@cache
 def g_coeffs(G: WeightGen, J: int) -> tuple[Fraction, ...]:
     """Taylor coefficients (g_0 = 1, g_1, ..., g_J) of the generating function."""
     if J < 0:

@@ -370,8 +370,8 @@ def test_phi_prefix_memo_warm_equals_cold(G, beta, cold_ladder):
 
 
 @pytest.mark.parametrize("G, beta, k, calls", [
-    (GT, F(1, 8), 3, 2),  # regular: rho_{-k} and rho_{J-k}
-    (replace(GQ, M=40), F(1, 23), 1, 3),  # capped: and the first singular index
+    (GT, F(1, 8), 3, 1),  # regular: rho_{-k}; the record holds the rest
+    (replace(GQ, M=40), F(1, 23), 1, 2),  # capped: and the first singular index
 ])
 def test_warm_window_asks_rho_at_its_ends(G, beta, k, calls, cold_ladder, monkeypatch):
     cold = max_regular_order(G, beta, k, 24)
@@ -432,6 +432,14 @@ def leibniz_det(matrix):
     return total
 
 
+def bialternant(lam, xs):
+    """s_lam(xs) = det(x_i^(lam_j + m - j)) / det(x_i^(m - j)), for l(lam) <= m."""
+    m = len(xs)
+    parts = lam + (0,) * (m - len(lam))
+    return (leibniz_det([[x ** (parts[j] + m - 1 - j) for j in range(m)] for x in xs])
+            / leibniz_det([[x ** (m - 1 - j) for j in range(m)] for x in xs]))
+
+
 def test_exact_det_against_leibniz():
     rng = random.Random(20)
 
@@ -490,6 +498,26 @@ def test_det_rep_n1_equals_direct_series():
         assert v.beta_exponent == -1
 
 
+def test_det_forms_equal_the_matrix_evaluation_where_rho_terminates():
+    # G(N0 beta) = 0 makes rho_j = 0 for j >= N0, so r_lam = 0 once
+    # lam_1 > N0; s_lam(X) = 0 once l(lam) > n.  Both sides are then finite
+    # sums, over |lam| <= 3 N0 <= 15, and the determinant forms truncated at
+    # any J >= N0 + n - 1 equal the matrix evaluation exactly
+    cases = [(G1, F(-1, 3), 3), (WeightGen.finite_product([1, F(1, 2)]), F(-1, 4), 4),
+             (GR, F(-1, 4), 4), (WeightGen.rational([2, F(-5, 7)], [F(1, 3)]), F(-1, 6), 3)]
+    points = [F(1, 2), F(-1, 3), F(2, 5)]
+    for G, beta, N0 in cases:
+        for n in (1, 2, 3):
+            xs = points[:n]
+            want = tau_eval_at_matrix(G, beta, xs, 15)
+            for J in (N0 + n - 1, N0 + n + 4):
+                assert (tau_det_rep(G, beta, xs, J).value == tau_wronskian(G, beta, xs, J).value
+                        == want), (G.describe(), n, J)
+    # G_40 has a pole at content -5 for beta = -1/5, which one point never reaches
+    G, beta, xs = replace(GQ, M=40), F(-1, 5), [F(1, 2)]
+    assert tau_eval_at_matrix(G, beta, xs, 8) == tau_det_rep(G, beta, xs, 8).value
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_calibration_exponent(n):
     for G in (GT, G1, GR):
@@ -526,8 +554,12 @@ def test_direct_polynomial_covers_only_its_shapes():
     G = WeightGen.rational([1], [F(-5, 3)])
     direct = tau_direct_polynomial(G, F(1, 5), 2, 6)
     assert max(len(lam) for lam in direct) == 2 and (3, 3) in direct
+    # at two points the matrix evaluation sums exactly these coefficients
+    xs = [F(1, 2), F(1, 3)]
+    assert tau_eval_at_matrix(G, F(1, 5), xs, 6) == sum(
+        v * bialternant(lam, xs) for lam, v in direct.items())
     for call in (lambda: tau_direct_polynomial(G, F(1, 5), 4, 6),
-                 lambda: tau_eval_at_matrix(G, F(1, 5), [F(1, 2), F(1, 3)], 6)):
+                 lambda: tau_eval_at_matrix(G, F(1, 5), [F(1, 2), F(1, 3), F(2, 5), F(3, 7)], 6)):
         with pytest.raises(SingularParameterError) as err:
             call()
         assert err.value.code == "weight-gen-pole"

@@ -383,8 +383,6 @@ def test_content_product_ladder_matches_r_lambda():
 
 def test_tables_build_no_series_products(monkeypatch):
     # the ladder and g_coeffs run without series products
-    g_coeffs.cache_clear()
-
     def refuse(self, other):
         raise AssertionError("BetaSeries product in a table build")
 
