@@ -8,7 +8,8 @@ check.
 
 The tables are character sums over an integer content-product ladder
 (:func:`_integer_ladder`), taken once for every beta-degree on rows packed
-into single ints (:func:`_packed_ladder`) and split back by :func:`_unpack`.
+into single ints (:func:`_packed_ladder`); :func:`_entries` reads each sum's
+digits straight into the table's (beta-power, Fraction) entries.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _cleared(values) -> tuple[list[int], int]:
 
 def _pack(row: list[int], S: int) -> int:
     """sum_d row[d] 2^(S d): the ints of row as S-bit slots of one int
-    (Kronecker substitution); :func:`_unpack` is its inverse."""
+    (Kronecker substitution); :func:`_entries` reads the slots back."""
     P = 0
     for a in reversed(row):
         P = (P << S) + a
@@ -126,7 +127,7 @@ def _packed_ladder(ladder: list[list[int]], n: int) -> tuple[list[int], int]:
     :func:`_pack`, and their slot width S.
 
     A character sum of packed rows packs the sums of each degree, and
-    :func:`_unpack` splits it while every sum is below 2^(S-1) in size.
+    :func:`_entries` splits it while every sum is below 2^(S-1) in size.
     S = bitlen(max|a|) + bitlen(n!) + 2 keeps every sum below 2^(S-2): by
     column orthogonality, sum_lam chi_lam(mu)^2 = z_mu, so Cauchy-Schwarz gives
         |sum_lam a_lam chi_lam(mu) chi_lam(nu)| <= max|a| sqrt(z_mu z_nu) <= max|a| n!,
@@ -138,20 +139,24 @@ def _packed_ladder(ladder: list[list[int]], n: int) -> tuple[list[int], int]:
     return [_pack(row, S) for row in ladder], S
 
 
-def _unpack(P: int, S: int, count: int) -> list[int]:
-    """The signed digits t_0..t_{count-1} of P = sum_d t_d 2^(S d), each in
-    [-2^(S-1), 2^(S-1)).
+def _entries(P: int, S: int, degs: list[tuple[int, int]], den: int) -> list[tuple[int, Fraction]]:
+    """(e, t / (L den)) for each nonzero signed digit t of
+    P = sum_d t_d 2^(S d), each t_d in [-2^(S-1), 2^(S-1)), with (e, L) = degs[d].
 
     Reads P's base-2^S digits (two's complement when P < 0) from the
-    bottom; a digit in the upper half is negative and carries one up.
+    bottom; a digit in the upper half is negative and carries one up.  A
+    zero digit is still read for its carry, but gives no entry.
     """
     mask, half = (1 << S) - 1, 1 << (S - 1)
-    digits, carry = [], 0
-    for shift in range(0, S * count, S):
-        t = (P >> shift & mask) + carry
+    out, carry = [], 0
+    for e, L in degs:
+        t = (P & mask) + carry
+        P >>= S
         carry = t >= half
-        digits.append(t - (carry << S))
-    return digits
+        t -= carry << S
+        if t:
+            out.append((e, Fraction(t, L * den)))
+    return out
 
 
 @dataclass
@@ -282,8 +287,8 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     Entry (mu, nu, n + d) is sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) over
     B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  The sum is
     taken once for every degree, on ints packed by :func:`_packed_ladder`,
-    and once for each unordered pair: the entry at (nu, mu) is the same
-    Fraction object.
+    and once for each unordered pair, read by :func:`_entries` in one pass
+    over its digits: the entry at (nu, mu) is the same Fraction object.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
@@ -292,15 +297,13 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     for n in range(Nmax + 1):
         rows = character_table(n)
         packed, S = _packed_ladder([A[lam] for lam, _, _ in rows], n)
+        degs = list(enumerate(B, n))
         upper = []  # upper[j][k - j]: the nonzero (n + d, entry) of rows j <= k
         for j, (mu, chi, zm) in enumerate(rows):
             later = rows[j:]
             weighted = list(map(mul, packed, chi))
-            upper.append([
-                [(n + d, Fraction(t, L * zm * zn))
-                 for d, (t, L) in enumerate(zip(_unpack(total, S, D + 1), B)) if t]
-                for (_, _, zn), total in zip(later, powersum_numerators(weighted, later))
-            ])
+            upper.append([_entries(total, S, degs, zm * zn) for (_, _, zn), total
+                          in zip(later, powersum_numerators(weighted, later))])
             for k, (nu, _, _) in enumerate(rows):
                 for e, v in (upper[k][j - k] if k < j else upper[j][k - j]):
                     coeffs[(mu, nu, e)] = v
@@ -334,10 +337,12 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
 
     entry (mu, d) is the weighted single Hurwitz number H^d(mu), i.e. the
     double number with the second profile frozen to the identity type.
+    Every (mu, d) is stored; :func:`_entries` gives the nonzero ones.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
     A, B = _integer_ladder(G, D, Nmax)
+    degs, zero = list(enumerate(B)), Fraction(0)
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
         rows = character_table(n)
@@ -347,8 +352,9 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
         packed, S = _packed_ladder([[a * (H // hl) for a in A[lam]]
                                     for (lam, _, _), hl in zip(rows, h)], n)
         for (mu, _, zm), total in zip(rows, powersum_numerators(packed, rows)):
-            for d, (t, L) in enumerate(zip(_unpack(total, S, D + 1), B)):
-                out[(mu, d)] = Fraction(t, L * H * zm)
+            out.update(((mu, d), zero) for d in range(D + 1))
+            for d, v in _entries(total, S, degs, H * zm):
+                out[(mu, d)] = v
     return out
 
 
@@ -359,6 +365,8 @@ def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
     against s_lam(X), computed from power sums p_j = sum x_i^j; a diagram
     with more rows than X has points has s_lam(X) = 0 and is not taken.
     """
+    if Nmax < 0:
+        raise UsageError("orders must be >= 0", code="bad-order")
     xs = [Fraction(x) for x in X]
     power = {j: sum(x ** j for x in xs) for j in range(1, Nmax + 1)}
     direct = tau_direct_polynomial(G, beta, len(xs), Nmax)

@@ -16,10 +16,10 @@ from hurwitz_tau.partitions import (
     z_of,
 )
 from hurwitz_tau.tau_series import (
+    _entries,
     _integer_ladder,
     _pack,
     _packed_ladder,
-    _unpack,
     extract_H,
     r_lambda,
     rho,
@@ -255,6 +255,10 @@ def test_tau_eval_at_matrix():
     with pytest.raises(UsageError) as err:
         tau_eval_at_matrix(GQ, F(1, 2), [x], 3)
     assert err.value.code == "quantum-needs-truncation"
+    # a negative order is refused, as by both tables
+    with pytest.raises(UsageError) as err:
+        tau_eval_at_matrix(G1, F(1, 2), [x], -1)
+    assert err.value.code == "bad-order"
 
 
 # -- integer table kernels ---------------------------------------------------
@@ -319,13 +323,20 @@ def test_integer_kernels_match_fraction_sum(G):
 
 # wide signed digits: the ladder rows of c = (-7/3, 5/2), d = (9/11) and of
 # q = -7/10 change sign, and at |lambda| = 8 their character sums take 8 of
-# the 16 bits the n! term adds to the slot width (the trivial G, above, 15)
-WIDE_GENS = (WeightGen.rational([F(-7, 3), F(5, 2)], [F(9, 11)]), WeightGen.quantum(F(-7, 10)))
+# the 16 bits the n! term adds to the slot width (the trivial G, above, 15);
+# the last three are the families the tables benchmark builds, at its D = 8
+WIDE_CASES = [
+    (WeightGen.rational([F(-7, 3), F(5, 2)], [F(9, 11)]), 6),
+    (WeightGen.quantum(F(-7, 10)), 6),
+    (WeightGen.rational([-1], [F(-1, 3)]), 8),
+    (WeightGen.quantum(F(-1, 2)), 8),
+    (WeightGen.finite_product([F(-1), F(-1, 2), F(1, 3)]), 8),
+]
 
 
-@pytest.mark.parametrize("G", WIDE_GENS, ids=lambda G: G.describe())
-def test_packed_kernels_match_fraction_sum_on_wide_digits(G):
-    _assert_kernels_match_fraction_sum(G, 6, 8)
+@pytest.mark.parametrize("G, D", WIDE_CASES, ids=[G.describe() for G, _ in WIDE_CASES])
+def test_packed_kernels_match_fraction_sum_on_wide_digits(G, D):
+    _assert_kernels_match_fraction_sum(G, D, 8)
 
 
 def test_pack_unpack_round_trip():
@@ -340,14 +351,20 @@ def test_pack_unpack_round_trip():
             [0],
         ]
         for row in rows:
-            assert _unpack(_pack(row, S), S, len(row)) == row, (S, row)
+            # exactly the nonzero digits, each with its own e and over L = 1
+            degs = [(10 + d, 1) for d in range(len(row))]
+            expected = [(10 + d, t) for d, t in enumerate(row) if t]
+            assert _entries(_pack(row, S), S, degs, 1) == expected, (S, row)
     # a character sum of packed rows splits into the sums of each degree
     rows = [[5, -3, 0], [-7, 0, 2], [1, 1, -1]]
     packed, S = _packed_ladder(rows, 3)
     assert S == 3 + 3 + 2
     chi = [2, -1, 3]
     total = sum(P * c for P, c in zip(packed, chi))
-    assert _unpack(total, S, 3) == [sum(r[d] * c for r, c in zip(rows, chi)) for d in range(3)]
+    sums = [sum(r[d] * c for r, c in zip(rows, chi)) for d in range(3)]
+    assert sums == [20, -3, -5]
+    degs = [(3, 1), (4, 2), (5, 4)]
+    assert _entries(total, S, degs, 3) == [(3, F(20, 3)), (4, F(-3, 6)), (5, F(-5, 12))]
 
 
 def _g_coeffs_by_series(G, J):
