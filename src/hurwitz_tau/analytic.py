@@ -363,8 +363,9 @@ def det_rep_calibration(n: int) -> int:
 
 @dataclass(frozen=True)
 class DetRepValue:
+    """A determinant form at diag(X), with beta^det_rep_calibration(n) applied."""
+
     value: Fraction
-    beta_exponent: int
 
 
 def _det_inputs(X, J):
@@ -411,8 +412,7 @@ def _det_form(G: WeightGen, beta: Fraction, xs: list[Fraction], rows,
         low = p.lead_exp + n - 1
         matrix.append([sum(c * hom[m] for m, c in enumerate(C, low)) for hom in powers])
     pref = scale * _rho_prefactor(_rho_ladder(G, beta), n) / vandermonde(xs)
-    e = det_rep_calibration(n)
-    return DetRepValue(beta ** e * pref * Fraction(_int_det(matrix), den), e)
+    return DetRepValue(beta ** det_rep_calibration(n) * pref * Fraction(_int_det(matrix), den))
 
 
 def tau_det_rep(G: WeightGen, beta, X, J: int) -> DetRepValue:
@@ -420,7 +420,7 @@ def tau_det_rep(G: WeightGen, beta, X, J: int) -> DetRepValue:
 
     Rows are phi_1 .. phi_n truncated to the shared top power 1 - n + J so
     the Wronskian form built from the same data matches exactly.  The
-    calibrated beta exponent is applied and reported.
+    calibrated beta exponent, :func:`det_rep_calibration`, is applied.
     """
     beta = Fraction(beta)
     xs, n = _det_inputs(X, J)
@@ -513,9 +513,9 @@ def tau_det_polynomial(G: WeightGen, beta, n: int, J: int) -> dict:
 def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int) -> int:
     """Beta exponent making the literal determinant formula match the series.
 
-    Compares the two Schur-basis routes on every coefficient of degree
-    <= compare_deg and returns the unique exponent; raises if no pure power
-    of beta reconciles them.  The literal side is
+    Builds both Schur-basis routes to degree max(compare_deg, 0), reads the
+    exponent off the constant term and checks it on every coefficient built;
+    raises if no pure power of beta reconciles them.  The literal side is
         prod_j rho_{lambda_j - j} / rho_{-j} * beta^(...) * det[1 / (lambda_j - j + i)!],
     the direct side r_lambda(beta) / h_lambda: the ladder's row products
     against the content products.  The ladder reads G from its (G, beta)
@@ -536,28 +536,23 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int)
     # the constant term is read even when compare_deg < 0
     literal = _literal_minors(G, beta, n, J, max(compare_deg, 0))
     direct = tau_direct_polynomial(G, beta, n, max(compare_deg, 0))
-    const = ()
-    base = literal.get(const)
+    base = literal.get(())
     if not base:
         raise SingularParameterError(
             "literal determinant formula has vanishing constant term",
             code="calibration-failed",
         )
-    ratio = direct[const] / base
-    exponent = None
-    for e in range(-8 * n - 8, 8 * n + 9):
-        if beta ** e == ratio:
-            exponent = e
+    ratio = direct[()] / base
+    for exponent in range(-8 * n - 8, 8 * n + 9):
+        if beta ** exponent == ratio:
             break
-    if exponent is None:
+    else:
         raise SingularParameterError(
             f"no integer beta exponent matches the constant-term ratio {ratio}",
             code="calibration-failed",
         )
     scale = beta ** exponent
-    keys = {k for k in literal if sum(k) <= compare_deg}
-    keys |= {k for k in direct if sum(k) <= compare_deg}
-    for key in keys:
+    for key in literal.keys() | direct.keys():
         if scale * literal.get(key, Fraction(0)) != direct.get(key, Fraction(0)):
             raise SingularParameterError(
                 f"calibration is not a pure beta power: mismatch at {key}",

@@ -383,6 +383,9 @@ def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int, order: i
     truncation = f", G truncated at M={G.M}" if G.q is not None else ""
     for n in (1, 2, 3):
         name = f"determinant representation n={n}"
+        if abs(beta) == 1:  # every power of beta is +-1, so calibration is refused
+            s.skip(name, "calibration cannot separate beta powers at |beta| = 1")
+            continue
         try:
             # the rows, the Wronskian and the prefactor use rho_-n .. rho_(J-n);
             # rho_0 = 1, so the capped order is never below n

@@ -33,6 +33,8 @@ from .partitions import (
 )
 from .weights import WeightGen, eval_weight_gen, g_coeffs
 
+_ZERO = Fraction(0)  # read by every absent table entry and stored at every zero one
+
 
 def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
     """Content product prod_{cells} G(content * beta) as a beta-series of order D."""
@@ -268,8 +270,9 @@ class TauTable:
     """Coefficients of the double power-sum expansion.
 
     coeffs[(mu, nu, e)] is the coefficient of beta^e p_mu(t) p_nu(s); the
-    entry at e = |mu| + d is the weighted Hurwitz number H^d(mu, nu).
-    Zero entries are not stored.
+    entry at e = |mu| + d is the weighted Hurwitz number H^d(mu, nu), the
+    same Fraction object as at (nu, mu, e).  Zero entries are not stored;
+    the table is read by key, and its key order carries nothing.
     """
 
     gen: WeightGen
@@ -278,7 +281,7 @@ class TauTable:
     coeffs: dict
 
     def entry(self, mu: Partition, nu: Partition, e: int) -> Fraction:
-        return self.coeffs.get((mu, nu, e), Fraction(0))
+        return self.coeffs.get((mu, nu, e), _ZERO)
 
 
 def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
@@ -287,8 +290,8 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     Entry (mu, nu, n + d) is sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) over
     B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  The sum is
     taken once for every degree, on ints packed by :func:`_packed_ladder`,
-    and once for each unordered pair, read by :func:`_entries` in one pass
-    over its digits: the entry at (nu, mu) is the same Fraction object.
+    and once for each unordered pair; :func:`_entries` reads its digits in
+    one pass, and each entry goes to (mu, nu, e) and (nu, mu, e) at once.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
@@ -298,15 +301,12 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
         rows = character_table(n)
         packed, S = _packed_ladder([A[lam] for lam, _, _ in rows], n)
         degs = list(enumerate(B, n))
-        upper = []  # upper[j][k - j]: the nonzero (n + d, entry) of rows j <= k
         for j, (mu, chi, zm) in enumerate(rows):
             later = rows[j:]
             weighted = list(map(mul, packed, chi))
-            upper.append([_entries(total, S, degs, zm * zn) for (_, _, zn), total
-                          in zip(later, powersum_numerators(weighted, later))])
-            for k, (nu, _, _) in enumerate(rows):
-                for e, v in (upper[k][j - k] if k < j else upper[j][k - j]):
-                    coeffs[(mu, nu, e)] = v
+            for (nu, _, zn), total in zip(later, powersum_numerators(weighted, later)):
+                for e, v in _entries(total, S, degs, zm * zn):
+                    coeffs[(mu, nu, e)] = coeffs[(nu, mu, e)] = v
     return TauTable(G, D, Nmax, coeffs)
 
 
@@ -337,12 +337,13 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
 
     entry (mu, d) is the weighted single Hurwitz number H^d(mu), i.e. the
     double number with the second profile frozen to the identity type.
-    Every (mu, d) is stored; :func:`_entries` gives the nonzero ones.
+    Every (mu, d) is stored: :func:`_entries` gives the nonzero ones, and
+    the rest are the one zero :meth:`TauTable.entry` also reads.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
     A, B = _integer_ladder(G, D, Nmax)
-    degs, zero = list(enumerate(B)), Fraction(0)
+    degs = list(enumerate(B))
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
         rows = character_table(n)
@@ -352,7 +353,7 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
         packed, S = _packed_ladder([[a * (H // hl) for a in A[lam]]
                                     for (lam, _, _), hl in zip(rows, h)], n)
         for (mu, _, zm), total in zip(rows, powersum_numerators(packed, rows)):
-            out.update(((mu, d), zero) for d in range(D + 1))
+            out.update(((mu, d), _ZERO) for d in range(D + 1))
             for d, v in _entries(total, S, degs, H * zm):
                 out[(mu, d)] = v
     return out

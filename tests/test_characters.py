@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from itertools import permutations
 from math import factorial, prod
 from operator import mul
 
@@ -15,6 +14,7 @@ from hurwitz_tau.characters import (
 )
 from hurwitz_tau.errors import ScaleGuardError, UsageError
 from hurwitz_tau.partitions import enumerate_partitions, hook_product, z_of
+from det_reference import bialternant
 
 
 def test_trivial_and_sign_representations():
@@ -139,24 +139,4 @@ def test_schur_in_powersums():
                     c * prod(sum(x ** part for x in xs) for part in mu)
                     for mu, c in expansion.items()
                 )
-                assert via_powersums == _bialternant(lam, xs), (lam, m)
-
-
-def _det(matrix):
-    # Leibniz sum; the matrices here are at most 3 x 3
-    n = len(matrix)
-    total = F(0)
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod(matrix[i][perm[i]] for i in range(n))
-    return total
-
-
-def _bialternant(lam, xs):
-    """s_lam(xs) = det(x_i^(lam_j + m - j)) / det(x_i^(m - j)); 0 if l(lam) > m."""
-    m = len(xs)
-    if len(lam) > m:
-        return F(0)
-    parts = lam + (0,) * (m - len(lam))
-    num = _det([[x ** (parts[j] + m - 1 - j) for j in range(m)] for x in xs])
-    return num / _det([[x ** (m - 1 - j) for j in range(m)] for x in xs])
+                assert via_powersums == bialternant(lam, xs), (lam, m)

@@ -362,6 +362,28 @@ def test_verify_error_leaves_no_partial_report(capsys, argv, error):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("suite", ["analytic", "all"])
+@pytest.mark.parametrize("beta", ["1", "-1"])
+def test_verify_at_unit_beta_skips_only_the_determinant_lines(capsys, suite, beta):
+    # every power of beta is +-1 there, so the calibration refuses it; the
+    # determinant lines are skipped, and the identity lines run and hold
+    with pytest.raises(UsageError) as exc:
+        analytic.calibrate_det_exponent(weights.WeightGen.trivial(), F(beta), 1, 8, 3)
+    assert exc.value.code == "bad-beta"
+    code = run(["verify", "--suite", suite, f"--beta={beta}"])
+    out, err = capture(capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [ln for ln in lines if "determinant representation" in ln] == [
+        f"SKIP determinant representation n={n}: calibration cannot separate beta powers "
+        "at |beta| = 1" for n in (1, 2, 3)]
+    assert [ln for ln in lines if " identity k=" in ln] == (
+        [f"PASS recursion identity k={k}: orders 0..12" for k in (2, 3, 4)]
+        + [f"PASS spectral identity k={k}: orders 0..12, cleared ODE form included"
+           for k in (1, 2, 3, 4)])
+    assert lines[-1] == "ALL CHECKS PASSED"
+
+
 def test_phi_quantum_prints_long_exact_coefficients(capsys):
     # numerators past Python's default 4300-digit int-to-str limit
     code = run(["phi", "--gen", "quantum", "--q", "1/2", "--beta", "1/23",

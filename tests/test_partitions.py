@@ -15,6 +15,7 @@ from hurwitz_tau.partitions import (
     weight,
     z_of,
 )
+from det_reference import leibniz_det
 
 
 def pentagonal_partition_count(n: int) -> int:
@@ -79,20 +80,6 @@ def test_hook_product():
     assert hook_product(()) == 1
 
 
-def _det(rows):
-    # tiny recursive determinant, independent of the package's elimination
-    n = len(rows)
-    if n == 0:
-        return F(1)
-    if n == 1:
-        return rows[0][0]
-    total = F(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
 def _inverse_factorial(m: int) -> F:
     return F(1, factorial(m)) if m >= 0 else F(0)
 
@@ -106,7 +93,7 @@ def test_hook_product_against_factorial_determinant(n):
             [_inverse_factorial(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
             for i in range(ell)
         ]
-        assert _det(rows) == F(1, hook_product(lam))
+        assert leibniz_det(rows) == F(1, hook_product(lam))
 
 
 def test_contents():

@@ -309,9 +309,12 @@ def _fraction_single_table(G, D, Nmax):
 
 
 def _assert_kernels_match_fraction_sum(G, D, Nmax):
-    # values and insertion order: mu, then nu, then e
-    table = tau_double_table(G, D, Nmax)
-    assert list(table.coeffs.items()) == list(_fraction_double_table(G, D, Nmax).items())
+    # the double table by key, each (nu, mu, e) entry the very object at
+    # (mu, nu, e); the single table with its insertion order: mu, then d
+    coeffs = tau_double_table(G, D, Nmax).coeffs
+    assert coeffs == _fraction_double_table(G, D, Nmax)
+    for (mu, nu, e), v in coeffs.items():
+        assert coeffs[(nu, mu, e)] is v
     single = tau_single_table(G, D, Nmax)
     assert list(single.items()) == list(_fraction_single_table(G, D, Nmax).items())
 
