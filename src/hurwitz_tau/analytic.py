@@ -515,7 +515,9 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int)
 
     Builds both Schur-basis routes to degree max(compare_deg, 0), reads the
     exponent off the constant term and checks it on every coefficient built;
-    raises if no pure power of beta reconciles them.  The literal side is
+    raises if no pure power of beta reconciles them, naming the first
+    disagreeing lambda by weight, then in enumeration order.  The literal
+    side is
         prod_j rho_{lambda_j - j} / rho_{-j} * beta^(...) * det[1 / (lambda_j - j + i)!],
     the direct side r_lambda(beta) / h_lambda: the ladder's row products
     against the content products.  The ladder reads G from its (G, beta)
@@ -552,7 +554,8 @@ def calibrate_det_exponent(G: WeightGen, beta, n: int, J: int, compare_deg: int)
             code="calibration-failed",
         )
     scale = beta ** exponent
-    for key in literal.keys() | direct.keys():
+    # both routes' keys, by weight: a mismatch names its lowest-weight key
+    for key in partitions_up_to(max(compare_deg, 0), n):
         if scale * literal.get(key, Fraction(0)) != direct.get(key, Fraction(0)):
             raise SingularParameterError(
                 f"calibration is not a pure beta power: mismatch at {key}",

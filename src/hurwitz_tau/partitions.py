@@ -95,6 +95,16 @@ def _partitions(n: int) -> tuple[Partition, ...]:
                  for rest in _partitions(n - first) if not rest or rest[0] <= first)
 
 
+@cache
+def _conjugates(n: int) -> tuple[int, ...]:
+    """Index of the conjugate of each partition of n, both in enumeration
+    order; a self-conjugate partition holds its own index."""
+    shapes = _partitions(n)
+    index = {lam: i for i, lam in enumerate(shapes)}
+    return tuple(index[tuple(sum(p > j for p in lam) for j in range(max(lam, default=0)))]
+                 for lam in shapes)
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of ``n`` in reverse-lexicographic order, (n) first."""
     if n < 0:

@@ -10,6 +10,16 @@ The tables are character sums over an integer content-product ladder
 (:func:`_integer_ladder`), taken once for every beta-degree on rows packed
 into single ints (:func:`_packed_ladder`); :func:`_entries` reads each sum's
 digits straight into the table's (beta-power, Fraction) entries.
+
+Both sums run over one diagram from each conjugate pair.  Conjugation
+negates every content, so A_lam'[d] = (-1)^d A_lam[d], and it flips each
+character by the class's colength, chi_lam'(mu) = (-1)^colength(mu)
+chi_lam(mu) (Macdonald, I.7).  So an entry whose d + colength(mu) +
+colength(nu) is odd is 0 -- the parity rule by which ``weighted`` answers
+such a query at once (see README) -- and every other entry is a sum over one
+diagram from each pair: the pair's term twice, a self-conjugate diagram's
+once.  Each representative's row is packed as two halves, its even and its
+odd degrees, and each sum is taken on the half of its parity only.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from .characters import character_table, powersum_numerators
 from .errors import SingularParameterError, UsageError
 from .partitions import (
     Partition,
+    _conjugates,
+    _partitions,
     as_partition,
     contents,
     hook_product,
@@ -47,21 +59,11 @@ def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
     return series
 
 
-def _content_products(extend, one, shapes) -> dict:
-    """Content product of every lambda in shapes, one cell at a time; () gives ``one``.
-
-    lambda's product is ``extend(prev, c)``: prev is the product of lambda
-    without the last cell of its last row, c = lambda_l - l that cell's
-    content, so shapes must list the smaller diagram first.
-    """
-    r = {}
-    for lam in shapes:
-        if not lam:
-            r[lam] = one
-            continue
-        parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
-        r[lam] = extend(r[parent], lam[-1] - len(lam))
-    return r
+def _last_cell(lam: Partition) -> tuple[Partition, int]:
+    """lambda less the last cell of its last row, and that cell's content
+    lambda_l - l.  A content product extends its parent's by that cell's
+    factor; :func:`.partitions.partitions_up_to` lists the parent first."""
+    return lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ()), lam[-1] - len(lam)
 
 
 def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
@@ -72,20 +74,32 @@ def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
     evaluated here, not read from the (G, beta) table the rho ladder uses.
     """
     beta = Fraction(beta)
-    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1),
-                          partitions_up_to(max_deg, n))
+    r = {}
+    for lam in partitions_up_to(max_deg, n):
+        if lam:
+            parent, c = _last_cell(lam)
+            r[lam] = r[parent] * eval_weight_gen(G, c * beta)
+        else:
+            r[lam] = Fraction(1)
     return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
 
 def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
     """Content products of every |lambda| <= Nmax as ints over one
     denominator per beta-degree: r_lambda(G, lambda, D).coeffs[d] equals
-    A[lambda][d] / B[d].
+    A[lambda][d] / B[d].  The keys come in :func:`.partitions.partitions_up_to`
+    order.
 
     With b_m the denominator of g_m, B_0 = 1 and B_d = lcm_m b_m B_{d-m},
     the lcm over partitions of d of the products of their b_m.  So B_i B_m
     divides B_{i+m}, and a product moves to degree i + m with the integer
     factor B_{i+m} / (B_i B_m).
+
+    Conjugation negates every content, so A[lambda'][d] = (-1)^d A[lambda][d]:
+    a diagram whose conjugate comes earlier among the partitions of its
+    weight copies the conjugate's row with each odd degree negated.  Every
+    other one extends the row of its diagram less the last cell
+    (:func:`_last_cell`) by one integer convolution.
     """
     gs = g_coeffs(G, D)
     B = [1]
@@ -106,7 +120,18 @@ def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
                     C[k] += a * f
         return C
 
-    return _content_products(extend, [1] + [0] * D, partitions_up_to(Nmax)), B
+    ladder = {(): [1] + [0] * D}
+    for n in range(1, Nmax + 1):
+        shapes = _partitions(n)
+        for i, (lam, k) in enumerate(zip(shapes, _conjugates(n))):
+            if k < i:
+                row = ladder[shapes[k]][:]
+                row[1::2] = [-a for a in row[1::2]]
+            else:
+                parent, c = _last_cell(lam)
+                row = extend(ladder[parent], c)
+            ladder[lam] = row
+    return ladder, B
 
 
 def _cleared(values) -> tuple[list[int], int]:
@@ -125,20 +150,44 @@ def _pack(row: list[int], S: int) -> int:
 
 
 def _packed_ladder(ladder: list[list[int]], n: int) -> tuple[list[int], int]:
-    """Rows a_0..a_D, one per lambda of weight n, each packed by
-    :func:`_pack`, and their slot width S.
+    """Rows of weight-n content products, each packed by :func:`_pack`, and
+    their slot width S; a row may be empty.
 
     A character sum of packed rows packs the sums of each degree, and
     :func:`_entries` splits it while every sum is below 2^(S-1) in size.
     S = bitlen(max|a|) + bitlen(n!) + 2 keeps every sum below 2^(S-2): by
-    column orthogonality, sum_lam chi_lam(mu)^2 = z_mu, so Cauchy-Schwarz gives
+    column orthogonality, sum_lam chi_lam(mu)^2 = z_mu, and dim_lam =
+    chi_lam(1^n), so Cauchy-Schwarz gives
         |sum_lam a_lam chi_lam(mu) chi_lam(nu)| <= max|a| sqrt(z_mu z_nu) <= max|a| n!,
-        |sum_lam a_lam chi_lam(mu)| <= max|a| sqrt(p(n) z_mu) <= max|a| n!,
-    since z_mu and the number p(n) of lambdas are at most n!.
+        |sum_lam a_lam dim_lam chi_lam(mu)| <= max|a| sqrt(n! z_mu) <= max|a| n!,
+    since z_mu is at most n!.  A sum over one diagram from each conjugate
+    pair (:func:`_conjugate_halves`) equals the sum over every diagram, so
+    the same S holds when the rows are only the representatives'.
     """
-    top = max(abs(a) for row in ladder for a in row)
+    top = max((abs(a) for row in ladder for a in row), default=0)
     S = top.bit_length() + factorial(n).bit_length() + 2
     return [_pack(row, S) for row in ladder], S
+
+
+def _conjugate_halves(A: dict, n: int, degs: list[tuple[int, int]]) -> tuple[list[int], list]:
+    """One diagram from each conjugate pair of weight n, the pair's first in
+    enumeration order, and two packed halves of their rows.
+
+    Half p is (packed, S, degs[p::2]): each representative's degrees p,
+    p + 2, ... packed by :func:`_packed_ladder`, times 2 for the pair (1 for
+    a self-conjugate diagram), their slot width, and the (e, L) that
+    :func:`_entries` reads them with.  A character sum whose entries are 0
+    off parity p, taken on half p over the representatives, is the sum over
+    every diagram of weight n at those degrees.
+    """
+    conj = _conjugates(n)
+    shapes = _partitions(n)
+    reps = [i for i, k in enumerate(conj) if k >= i]
+    halves = []
+    for p in (0, 1):
+        packed, S = _packed_ladder([A[shapes[i]][p::2] for i in reps], n)
+        halves.append(([P if conj[i] == i else 2 * P for P, i in zip(packed, reps)], S, degs[p::2]))
+    return reps, halves
 
 
 def _entries(P: int, S: int, degs: list[tuple[int, int]], den: int) -> list[tuple[int, Fraction]]:
@@ -288,10 +337,13 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     """Expand the double Schur series through weight Nmax and beta-order D.
 
     Entry (mu, nu, n + d) is sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) over
-    B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  The sum is
-    taken once for every degree, on ints packed by :func:`_packed_ladder`,
-    and once for each unordered pair; :func:`_entries` reads its digits in
-    one pass, and each entry goes to (mu, nu, e) and (nu, mu, e) at once.
+    B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  It is 0
+    unless d + colength(mu) + colength(nu) is even, and then the sum over
+    every lambda equals the one over :func:`_conjugate_halves`' doubled
+    representatives.  So each unordered pair takes its sum once, on the
+    packed half of its parity only, for all of those degrees at once;
+    :func:`_entries` reads its digits in one pass, and each entry goes to
+    (mu, nu, e) and (nu, mu, e) at once.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
@@ -299,13 +351,15 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     coeffs: dict = {}
     for n in range(Nmax + 1):
         rows = character_table(n)
-        packed, S = _packed_ladder([A[lam] for lam, _, _ in rows], n)
-        degs = list(enumerate(B, n))
-        for j, (mu, chi, zm) in enumerate(rows):
-            later = rows[j:]
-            weighted = list(map(mul, packed, chi))
-            for (nu, _, zn), total in zip(later, powersum_numerators(weighted, later)):
-                for e, v in _entries(total, S, degs, zm * zn):
+        reps, halves = _conjugate_halves(A, n, list(enumerate(B, n)))
+        chis = [[chi[i] for i in reps] for _, chi, _ in rows]
+        for j, (mu, _, zm) in enumerate(rows):
+            weighted = [list(map(mul, packed, chis[j])) for packed, _, _ in halves]
+            for (nu, _, zn), chi in zip(rows[j:], chis[j:]):
+                # colength(mu) + colength(nu) = 2n - l(mu) - l(nu)
+                p = (len(mu) + len(nu)) & 1
+                _, S, degs = halves[p]
+                for e, v in _entries(sum(map(mul, weighted[p], chi)), S, degs, zm * zn):
                     coeffs[(mu, nu, e)] = coeffs[(nu, mu, e)] = v
     return TauTable(G, D, Nmax, coeffs)
 
@@ -336,25 +390,28 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     """Coefficients of the single power-sum expansion.
 
     entry (mu, d) is the weighted single Hurwitz number H^d(mu), i.e. the
-    double number with the second profile frozen to the identity type.
-    Every (mu, d) is stored: :func:`_entries` gives the nonzero ones, and
-    the rest are the one zero :meth:`TauTable.entry` also reads.
+    double number with the second profile frozen to the identity type
+    (1^n): sum_lam A_lam[d] chi_lam(mu) dim_lam over B_d n! z_mu, with
+    dim_lam = chi_lam(1^n) read from that row of the character table.  As
+    in :func:`tau_double_table`, it is 0 unless d + colength(mu) is even,
+    and the sum is taken once, on the packed half of that parity over the
+    representatives of :func:`_conjugate_halves`.  Every (mu, d) is
+    stored: :func:`_entries` gives the nonzero ones, and the rest are the
+    one zero :meth:`TauTable.entry` also reads.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
     A, B = _integer_ladder(G, D, Nmax)
-    degs = list(enumerate(B))
     out: dict[tuple[Partition, int], Fraction] = {}
     for n in range(Nmax + 1):
         rows = character_table(n)
-        h = [hook_product(lam) for lam, _, _ in rows]
-        H = lcm(*h)
-        # entry (mu, d) = sum_lam A_lam[d] (H / h_lam) chi_lam(mu) / (B_d H z_mu)
-        packed, S = _packed_ladder([[a * (H // hl) for a in A[lam]]
-                                    for (lam, _, _), hl in zip(rows, h)], n)
-        for (mu, _, zm), total in zip(rows, powersum_numerators(packed, rows)):
+        reps, halves = _conjugate_halves(A, n, list(enumerate(B)))
+        dims = rows[-1][1]  # the row of mu = (1^n)
+        for mu, chi, zm in rows:
             out.update(((mu, d), _ZERO) for d in range(D + 1))
-            for d, v in _entries(total, S, degs, H * zm):
+            packed, S, degs = halves[(n - len(mu)) & 1]
+            total = sum(map(mul, packed, [chi[i] * dims[i] for i in reps]))
+            for d, v in _entries(total, S, degs, factorial(n) * zm):
                 out[(mu, d)] = v
     return out
 

@@ -568,6 +568,29 @@ def test_calibration_negative_control(monkeypatch):
     assert err.value.code == "calibration-failed"
 
 
+def test_calibration_names_lowest_weight_mismatch(monkeypatch):
+    # phi_1's x^1 coefficient off by 2^-50: at n = 2 several Schur
+    # coefficients disagree, (1,) among them; the error names (1,), the
+    # lowest-weight one, whatever order the two routes built their keys in
+    real = analytic.phi_k
+
+    def perturbed(G, beta, k, J):
+        p = real(G, beta, k, J)
+        if k != 1:
+            return p
+        return replace(p, coeffs=p.coeffs[:1] + (p.coeff(1) + F(1, 2 ** 50),) + p.coeffs[2:])
+
+    monkeypatch.setattr(analytic, "phi_k", perturbed)
+    det_poly = tau_det_polynomial(GT, F(1, 7), 2, 12)
+    direct = tau_direct_polynomial(GT, F(1, 7), 2, 5)
+    bad = [lam for lam in det_poly.keys() | direct.keys()
+           if sum(lam) <= 5 and det_poly.get(lam, 0) != direct.get(lam, 0)]
+    assert len(bad) >= 2 and min(bad, key=sum) == (1,)
+    with pytest.raises(SingularParameterError) as err:
+        calibrate_det_exponent(GT, F(1, 7), 2, 12, compare_deg=5)
+    assert str(err.value) == "calibration is not a pure beta power: mismatch at (1,)"
+
+
 def test_shared_prefactor_negative_control(monkeypatch):
     # both determinant forms divide by the one prod_i rho_{-i}, so a wrong
     # prefactor leaves them equal; the calibration compares against the direct

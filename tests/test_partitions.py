@@ -5,6 +5,7 @@ import pytest
 
 from hurwitz_tau.errors import UsageError
 from hurwitz_tau.partitions import (
+    _conjugates,
     as_partition,
     colength,
     contents,
@@ -101,6 +102,21 @@ def test_contents():
     assert sorted(contents((2, 1))) == [-1, 0, 1]
     assert contents((3,)) == [0, 1, 2]
     assert contents(()) == []
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_conjugate_index(n):
+    # lambda' has the transposed cells, so the negated contents;
+    # conjugation is an involution
+    parts = enumerate_partitions(n)
+    conj = _conjugates(n)
+    for lam, k in zip(parts, conj):
+        cells = {(i, j) for i, row in enumerate(lam) for j in range(row)}
+        assert {(i, j) for i, row in enumerate(parts[k]) for j in range(row)} == {
+            (j, i) for i, j in cells}
+        assert sorted(contents(parts[k])) == sorted(-c for c in contents(lam))
+        assert conj[k] == parts.index(lam)
+    assert conj[0] == len(parts) - 1  # (n) and (1^n)
 
 
 @pytest.mark.parametrize("n", range(9))

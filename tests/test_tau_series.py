@@ -10,12 +10,14 @@ from hurwitz_tau.characters import character
 from hurwitz_tau.cli import run
 from hurwitz_tau.errors import SingularParameterError, UsageError
 from hurwitz_tau.partitions import (
+    colength,
     enumerate_partitions,
     hook_product,
     identity_cycle_type,
     z_of,
 )
 from hurwitz_tau.tau_series import (
+    _ZERO,
     _entries,
     _integer_ladder,
     _pack,
@@ -342,6 +344,35 @@ def test_packed_kernels_match_fraction_sum_on_wide_digits(G, D):
     _assert_kernels_match_fraction_sum(G, D, 8)
 
 
+# the conjugate-pair layout: at D = 0 the odd half of every row is empty,
+# and weights 1..7 hold the self-conjugate diagrams (1), (2,1), (2,2),
+# (3,1,1), (3,2,1) and (4,1,1,1), each its own representative
+LAYOUT_GENS = (
+    WeightGen.trivial(),
+    WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]),
+    WeightGen.quantum(F(-7, 10)),
+)
+
+
+@pytest.mark.parametrize("D", (0, 1, 3))
+@pytest.mark.parametrize("G", LAYOUT_GENS, ids=lambda G: G.describe())
+def test_conjugate_halves_match_fraction_sum(G, D):
+    _assert_kernels_match_fraction_sum(G, D, 7)
+
+
+@pytest.mark.parametrize("G", KERNEL_GENS[1:], ids=lambda G: G.describe())
+def test_tables_keep_parity_rule(G):
+    # d + colength(mu) + colength(nu) odd: no double-table entry, and the
+    # shared zero in the single table, whose nu is (1^n), of colength 0
+    coeffs = tau_double_table(G, 5, 6).coeffs
+    parities = {(e - sum(mu) + colength(mu) + colength(nu)) % 2 for mu, nu, e in coeffs}
+    assert parities == {0}
+    assert {(e - sum(mu)) % 2 for mu, _, e in coeffs} == {0, 1}
+    for (mu, d), v in tau_single_table(G, 5, 6).items():
+        if (d + colength(mu)) % 2:
+            assert v is _ZERO, (mu, d)
+
+
 def test_pack_unpack_round_trip():
     for S in (3, 4, 17, 64, 65):
         edge = (1 << (S - 2)) - 1
@@ -368,6 +399,10 @@ def test_pack_unpack_round_trip():
     assert sums == [20, -3, -5]
     degs = [(3, 1), (4, 2), (5, 4)]
     assert _entries(total, S, degs, 3) == [(3, F(20, 3)), (4, F(-3, 6)), (5, F(-5, 12))]
+    # an empty half (the odd degrees at D = 0) packs to 0 and reads no entry
+    packed, S = _packed_ladder([[], []], 3)
+    assert packed == [0, 0] and S == 0 + 3 + 2
+    assert _entries(0, S, [], 1) == []
 
 
 def _g_coeffs_by_series(G, J):
