@@ -11,15 +11,16 @@ The tables are character sums over an integer content-product ladder
 into single ints (:func:`_packed_ladder`); :func:`_entries` reads each sum's
 digits straight into the table's (beta-power, Fraction) entries.
 
-Both sums run over one diagram from each conjugate pair.  Conjugation
-negates every content, so A_lam'[d] = (-1)^d A_lam[d], and it flips each
-character by the class's colength, chi_lam'(mu) = (-1)^colength(mu)
-chi_lam(mu) (Macdonald, I.7).  So an entry whose d + colength(mu) +
-colength(nu) is odd is 0 -- the parity rule by which ``weighted`` answers
-such a query at once (see README) -- and every other entry is a sum over one
-diagram from each pair: the pair's term twice, a self-conjugate diagram's
-once.  Each representative's row is packed as two halves, its even and its
-odd degrees, and each sum is taken on the half of its parity only.
+Both sums run over one diagram from each conjugate pair
+(:func:`_conjugate_halves`).  Conjugation negates every content, so
+A_lam'[d] = (-1)^d A_lam[d], and it flips each character by the class's
+colength, chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu) (Macdonald, I.7).
+So an entry whose d + colength(mu) + colength(nu) is odd is 0 -- the parity
+rule by which ``weighted`` answers such a query at once (see README) -- and
+every other entry is a sum over one diagram from each pair: the pair's term
+twice, a self-conjugate diagram's once.  Each representative's row is
+packed as two halves, its even and its odd degrees, and each sum is taken
+on the half of its parity only.
 """
 
 from __future__ import annotations
@@ -59,11 +60,21 @@ def r_lambda(G: WeightGen, lam, D: int) -> BetaSeries:
     return series
 
 
-def _last_cell(lam: Partition) -> tuple[Partition, int]:
-    """lambda less the last cell of its last row, and that cell's content
-    lambda_l - l.  A content product extends its parent's by that cell's
-    factor; :func:`.partitions.partitions_up_to` lists the parent first."""
-    return lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ()), lam[-1] - len(lam)
+def _content_products(extend, one, shapes) -> dict:
+    """Content product of every lambda in shapes, one cell at a time; () gives ``one``.
+
+    lambda's product is ``extend(prev, c)``: prev is the product of lambda
+    without the last cell of its last row, c = lambda_l - l that cell's
+    content, so shapes must list the smaller diagram first.
+    """
+    r = {}
+    for lam in shapes:
+        if not lam:
+            r[lam] = one
+            continue
+        parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+        r[lam] = extend(r[parent], lam[-1] - len(lam))
+    return r
 
 
 def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
@@ -74,32 +85,20 @@ def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
     evaluated here, not read from the (G, beta) table the rho ladder uses.
     """
     beta = Fraction(beta)
-    r = {}
-    for lam in partitions_up_to(max_deg, n):
-        if lam:
-            parent, c = _last_cell(lam)
-            r[lam] = r[parent] * eval_weight_gen(G, c * beta)
-        else:
-            r[lam] = Fraction(1)
+    r = _content_products(lambda v, c: v * eval_weight_gen(G, c * beta), Fraction(1),
+                          partitions_up_to(max_deg, n))
     return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
 
 def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
     """Content products of every |lambda| <= Nmax as ints over one
     denominator per beta-degree: r_lambda(G, lambda, D).coeffs[d] equals
-    A[lambda][d] / B[d].  The keys come in :func:`.partitions.partitions_up_to`
-    order.
+    A[lambda][d] / B[d].
 
     With b_m the denominator of g_m, B_0 = 1 and B_d = lcm_m b_m B_{d-m},
     the lcm over partitions of d of the products of their b_m.  So B_i B_m
     divides B_{i+m}, and a product moves to degree i + m with the integer
     factor B_{i+m} / (B_i B_m).
-
-    Conjugation negates every content, so A[lambda'][d] = (-1)^d A[lambda][d]:
-    a diagram whose conjugate comes earlier among the partitions of its
-    weight copies the conjugate's row with each odd degree negated.  Every
-    other one extends the row of its diagram less the last cell
-    (:func:`_last_cell`) by one integer convolution.
     """
     gs = g_coeffs(G, D)
     B = [1]
@@ -120,18 +119,7 @@ def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
                     C[k] += a * f
         return C
 
-    ladder = {(): [1] + [0] * D}
-    for n in range(1, Nmax + 1):
-        shapes = _partitions(n)
-        for i, (lam, k) in enumerate(zip(shapes, _conjugates(n))):
-            if k < i:
-                row = ladder[shapes[k]][:]
-                row[1::2] = [-a for a in row[1::2]]
-            else:
-                parent, c = _last_cell(lam)
-                row = extend(ladder[parent], c)
-            ladder[lam] = row
-    return ladder, B
+    return _content_products(extend, [1] + [0] * D, partitions_up_to(Nmax)), B
 
 
 def _cleared(values) -> tuple[list[int], int]:
@@ -176,9 +164,9 @@ def _conjugate_halves(A: dict, n: int, degs: list[tuple[int, int]]) -> tuple[lis
     Half p is (packed, S, degs[p::2]): each representative's degrees p,
     p + 2, ... packed by :func:`_packed_ladder`, times 2 for the pair (1 for
     a self-conjugate diagram), their slot width, and the (e, L) that
-    :func:`_entries` reads them with.  A character sum whose entries are 0
-    off parity p, taken on half p over the representatives, is the sum over
-    every diagram of weight n at those degrees.
+    :func:`_entries` reads them with.  By the conjugation rules in the
+    module docstring, a sum of parity p over half p is the sum over every
+    diagram of weight n.
     """
     conj = _conjugates(n)
     shapes = _partitions(n)
@@ -337,11 +325,9 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     """Expand the double Schur series through weight Nmax and beta-order D.
 
     Entry (mu, nu, n + d) is sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) over
-    B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  It is 0
-    unless d + colength(mu) + colength(nu) is even, and then the sum over
-    every lambda equals the one over :func:`_conjugate_halves`' doubled
-    representatives.  So each unordered pair takes its sum once, on the
-    packed half of its parity only, for all of those degrees at once;
+    B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  Each
+    unordered pair takes its sum once, over :func:`_conjugate_halves`, on
+    the packed half of its parity (see the module docstring) only;
     :func:`_entries` reads its digits in one pass, and each entry goes to
     (mu, nu, e) and (nu, mu, e) at once.
     """
@@ -392,12 +378,10 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     entry (mu, d) is the weighted single Hurwitz number H^d(mu), i.e. the
     double number with the second profile frozen to the identity type
     (1^n): sum_lam A_lam[d] chi_lam(mu) dim_lam over B_d n! z_mu, with
-    dim_lam = chi_lam(1^n) read from that row of the character table.  As
-    in :func:`tau_double_table`, it is 0 unless d + colength(mu) is even,
-    and the sum is taken once, on the packed half of that parity over the
-    representatives of :func:`_conjugate_halves`.  Every (mu, d) is
-    stored: :func:`_entries` gives the nonzero ones, and the rest are the
-    one zero :meth:`TauTable.entry` also reads.
+    dim_lam = chi_lam(1^n) read from that row of the character table,
+    summed as in :func:`tau_double_table`.  Every (mu, d) is stored:
+    :func:`_entries` gives the nonzero ones, and the rest are the one zero
+    :meth:`TauTable.entry` also reads.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
