@@ -16,12 +16,12 @@ from operator import mul
 from .errors import ScaleGuardError, UsageError
 from .partitions import (
     Partition,
+    _centralizers,
     as_partition,
     colength,
     cycle_type,
     enumerate_partitions,
     weight,
-    z_of,
 )
 
 _ORACLE_MAX = 6
@@ -79,7 +79,8 @@ def character_table(n: int) -> list[tuple[Partition, list[int], int]]:
     """Character table of S_n, read as the transition s_lam = sum_mu
     chi_lam(mu)/z_mu p_mu in ints: (mu, [chi_lam(mu) for each lam], z_mu)
     per mu, both in enumeration order."""
-    return [(mu, list(_character(mu)), z_of(mu)) for mu in enumerate_partitions(n)]
+    return [(mu, list(_character(mu)), z)
+            for mu, z in zip(enumerate_partitions(n), _centralizers(n))]
 
 
 def powersum_numerators(ints: list[int], rows) -> list[int]:

@@ -105,6 +105,12 @@ def _conjugates(n: int) -> tuple[int, ...]:
                  for lam in shapes)
 
 
+@cache
+def _centralizers(n: int) -> tuple[int, ...]:
+    """z_mu of each partition of n, in enumeration order."""
+    return tuple(z_of(mu) for mu in _partitions(n))
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of ``n`` in reverse-lexicographic order, (n) first."""
     if n < 0:

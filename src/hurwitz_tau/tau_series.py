@@ -12,22 +12,25 @@ into single ints (:func:`_packed_ladder`); :func:`_entries` reads each sum's
 digits straight into the table's (beta-power, Fraction) entries.
 
 Both sums run over one diagram from each conjugate pair
-(:func:`_conjugate_halves`).  Conjugation negates every content, so
+(:func:`_representatives`).  Conjugation negates every content, so
 A_lam'[d] = (-1)^d A_lam[d], and it flips each character by the class's
 colength, chi_lam'(mu) = (-1)^colength(mu) chi_lam(mu) (Macdonald, I.7).
 So an entry whose d + colength(mu) + colength(nu) is odd is 0 -- the parity
 rule by which ``weighted`` answers such a query at once (see README) -- and
 every other entry is a sum over one diagram from each pair: the pair's term
-twice, a self-conjugate diagram's once.  Each representative's row is
-packed as two halves, its even and its odd degrees, and each sum is taken
-on the half of its parity only.
+twice, a self-conjugate diagram's once.  The ladder walks the
+representatives only, each row extending its parent's, and each
+representative's row is packed as two halves, its even and its odd
+degrees; each sum is taken on the half of its parity only.  Ladder and
+halves are one record per (G, D, Nmax) (:func:`_table_ladder`), the last
+one kept, that the double and the single table both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, lcm, prod
 from operator import mul
 
@@ -90,15 +93,23 @@ def tau_direct_polynomial(G: WeightGen, beta, n: int, max_deg: int) -> dict:
     return {lam: v / hook_product(lam) for lam, v in r.items() if v}
 
 
+def _representatives(n: int) -> tuple[int, ...]:
+    """Index of one diagram from each conjugate pair of weight n, the pair's
+    first in enumeration order.  The parent of a representative (the
+    diagram less the last cell of its last row) is a representative."""
+    return tuple(i for i, k in enumerate(_conjugates(n)) if k >= i)
+
+
 def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
-    """Content products of every |lambda| <= Nmax as ints over one
-    denominator per beta-degree: r_lambda(G, lambda, D).coeffs[d] equals
-    A[lambda][d] / B[d].
+    """Content products of the representatives (:func:`_representatives`)
+    of weight <= Nmax as ints over one denominator per beta-degree:
+    r_lambda(G, lambda, D).coeffs[d] equals A[lambda][d] / B[d].
 
     With b_m the denominator of g_m, B_0 = 1 and B_d = lcm_m b_m B_{d-m},
     the lcm over partitions of d of the products of their b_m.  So B_i B_m
     divides B_{i+m}, and a product moves to degree i + m with the integer
-    factor B_{i+m} / (B_i B_m).
+    factor B_{i+m} / (B_i B_m).  Each row extends its parent's, which is a
+    representative too, so the walk never builds a conjugate's row.
     """
     gs = g_coeffs(G, D)
     B = [1]
@@ -119,7 +130,8 @@ def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
                     C[k] += a * f
         return C
 
-    return _content_products(extend, [1] + [0] * D, partitions_up_to(Nmax)), B
+    reps = (_partitions(n)[i] for n in range(Nmax + 1) for i in _representatives(n))
+    return _content_products(extend, [1] + [0] * D, reps), B
 
 
 def _cleared(values) -> tuple[list[int], int]:
@@ -149,33 +161,39 @@ def _packed_ladder(ladder: list[list[int]], n: int) -> tuple[list[int], int]:
         |sum_lam a_lam chi_lam(mu) chi_lam(nu)| <= max|a| sqrt(z_mu z_nu) <= max|a| n!,
         |sum_lam a_lam dim_lam chi_lam(mu)| <= max|a| sqrt(n! z_mu) <= max|a| n!,
     since z_mu is at most n!.  A sum over one diagram from each conjugate
-    pair (:func:`_conjugate_halves`) equals the sum over every diagram, so
-    the same S holds when the rows are only the representatives'.
+    pair (:func:`_table_ladder`) equals the sum over every diagram, so the
+    same S holds when the rows are only the representatives'.
     """
     top = max((abs(a) for row in ladder for a in row), default=0)
     S = top.bit_length() + factorial(n).bit_length() + 2
     return [_pack(row, S) for row in ladder], S
 
 
-def _conjugate_halves(A: dict, n: int, degs: list[tuple[int, int]]) -> tuple[list[int], list]:
-    """One diagram from each conjugate pair of weight n, the pair's first in
-    enumeration order, and two packed halves of their rows.
+@lru_cache(maxsize=1)
+def _table_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[tuple[int, ...], tuple]:
+    """The one record that both tables read at (G, D, Nmax): B from
+    :func:`_integer_ladder` and, for each weight n <= Nmax, (reps, halves).
 
-    Half p is (packed, S, degs[p::2]): each representative's degrees p,
-    p + 2, ... packed by :func:`_packed_ladder`, times 2 for the pair (1 for
-    a self-conjugate diagram), their slot width, and the (e, L) that
-    :func:`_entries` reads them with.  By the conjugation rules in the
-    module docstring, a sum of parity p over half p is the sum over every
-    diagram of weight n.
+    reps are :func:`_representatives` of n.  Half p is (packed, S): each
+    representative's degrees p, p + 2, ... packed by :func:`_packed_ladder`,
+    times 2 for the pair (1 for a self-conjugate diagram), and their slot
+    width.  By the conjugation rules in the module docstring, a sum of
+    parity p over half p is the sum over every diagram of weight n.  Each
+    table pairs the halves with its own (e, L) degrees.  The record is
+    made of tuples, since both tables share it.  Only the last (G, D, Nmax)
+    is kept: the callers that build both tables build them one after the
+    other.  Code that patches :func:`g_coeffs` clears this cache.
     """
-    conj = _conjugates(n)
-    shapes = _partitions(n)
-    reps = [i for i, k in enumerate(conj) if k >= i]
-    halves = []
-    for p in (0, 1):
-        packed, S = _packed_ladder([A[shapes[i]][p::2] for i in reps], n)
-        halves.append(([P if conj[i] == i else 2 * P for P, i in zip(packed, reps)], S, degs[p::2]))
-    return reps, halves
+    A, B = _integer_ladder(G, D, Nmax)
+    levels = []
+    for n in range(Nmax + 1):
+        conj, shapes, reps = _conjugates(n), _partitions(n), _representatives(n)
+        halves = []
+        for p in (0, 1):
+            packed, S = _packed_ladder([A[shapes[i]][p::2] for i in reps], n)
+            halves.append((tuple(P if conj[i] == i else 2 * P for P, i in zip(packed, reps)), S))
+        levels.append((reps, tuple(halves)))
+    return tuple(B), tuple(levels)
 
 
 def _entries(P: int, S: int, degs: list[tuple[int, int]], den: int) -> list[tuple[int, Fraction]]:
@@ -326,18 +344,19 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
 
     Entry (mu, nu, n + d) is sum_lam A_lam[d] chi_lam(mu) chi_lam(nu) over
     B_d z_mu z_nu, with A and B from :func:`_integer_ladder`.  Each
-    unordered pair takes its sum once, over :func:`_conjugate_halves`, on
-    the packed half of its parity (see the module docstring) only;
-    :func:`_entries` reads its digits in one pass, and each entry goes to
-    (mu, nu, e) and (nu, mu, e) at once.
+    unordered pair takes its sum once, over the representatives, on the
+    packed half of its parity (see the module docstring) only, from the
+    record :func:`_table_ladder`; :func:`_entries` reads its digits in one
+    pass, and each entry goes to (mu, nu, e) and (nu, mu, e) at once.
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    A, B = _integer_ladder(G, D, Nmax)
+    B, levels = _table_ladder(G, D, Nmax)
     coeffs: dict = {}
-    for n in range(Nmax + 1):
+    for n, (reps, level) in enumerate(levels):
         rows = character_table(n)
-        reps, halves = _conjugate_halves(A, n, list(enumerate(B, n)))
+        degs = list(enumerate(B, n))
+        halves = [(packed, S, degs[p::2]) for p, (packed, S) in enumerate(level)]
         chis = [[chi[i] for i in reps] for _, chi, _ in rows]
         for j, (mu, _, zm) in enumerate(rows):
             weighted = [list(map(mul, packed, chis[j])) for packed, _, _ in halves]
@@ -385,17 +404,18 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    A, B = _integer_ladder(G, D, Nmax)
+    B, levels = _table_ladder(G, D, Nmax)
+    degs = list(enumerate(B))
     out: dict[tuple[Partition, int], Fraction] = {}
-    for n in range(Nmax + 1):
+    for n, (reps, halves) in enumerate(levels):
         rows = character_table(n)
-        reps, halves = _conjugate_halves(A, n, list(enumerate(B)))
         dims = rows[-1][1]  # the row of mu = (1^n)
         for mu, chi, zm in rows:
             out.update(((mu, d), _ZERO) for d in range(D + 1))
-            packed, S, degs = halves[(n - len(mu)) & 1]
+            p = (n - len(mu)) & 1
+            packed, S = halves[p]
             total = sum(map(mul, packed, [chi[i] * dims[i] for i in reps]))
-            for d, v in _entries(total, S, degs, factorial(n) * zm):
+            for d, v in _entries(total, S, degs[p::2], factorial(n) * zm):
                 out[(mu, d)] = v
     return out
 

@@ -22,6 +22,7 @@ from hurwitz_tau.tau_series import (
     _integer_ladder,
     _pack,
     _packed_ladder,
+    _representatives,
     extract_H,
     r_lambda,
     rho,
@@ -285,12 +286,13 @@ def _fraction_double_table(G, D, Nmax):
     for n in range(Nmax + 1):
         parts = enumerate_partitions(n)
         r = {lam: r_lambda(G, lam, D) for lam in parts}
+        chi = {(lam, mu): character(lam, mu) for lam in parts for mu in parts}
         for mu in parts:
             for nu in parts:
                 for e in range(n, n + D + 1):
                     total = F(0)
                     for lam in parts:
-                        total += r[lam].coeff(e - n) * character(lam, mu) * character(lam, nu)
+                        total += r[lam].coeff(e - n) * chi[lam, mu] * chi[lam, nu]
                     if total:
                         coeffs[(mu, nu, e)] = total / (z_of(mu) * z_of(nu))
     return coeffs
@@ -301,11 +303,12 @@ def _fraction_single_table(G, D, Nmax):
     for n in range(Nmax + 1):
         parts = enumerate_partitions(n)
         r = {lam: r_lambda(G, lam, D) for lam in parts}
+        chi = {(lam, mu): character(lam, mu) for lam in parts for mu in parts}
         for mu in parts:
             for d in range(D + 1):
                 total = F(0)
                 for lam in parts:
-                    total += F(r[lam].coeff(d) * character(lam, mu), hook_product(lam))
+                    total += F(r[lam].coeff(d) * chi[lam, mu], hook_product(lam))
                 out[(mu, d)] = total / z_of(mu)
     return out
 
@@ -423,8 +426,32 @@ def test_ratio_g_coeffs_match_series_product(G):
         assert repr(g_coeffs(G, J)) == repr(_g_coeffs_by_series(G, J)), J
 
 
+def _conjugate(lam):
+    return tuple(sum(p > j for p in lam) for j in range(max(lam, default=0)))
+
+
+def _is_representative(lam):
+    # the first of {lam, lam'} in enumeration order, which is decreasing
+    # lexicographic order
+    return lam >= _conjugate(lam)
+
+
+def test_representative_parents_are_representatives():
+    # the ladder builds each representative's row from its parent's, the
+    # diagram less the last cell of its last row
+    for n in range(1, 16):
+        parts = enumerate_partitions(n)
+        reps = [lam for lam in parts if _is_representative(lam)]
+        assert [parts[i] for i in _representatives(n)] == reps
+        for lam in reps:
+            parent = lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+            assert _is_representative(parent), lam
+
+
 def test_content_product_ladder_matches_r_lambda():
-    expected = [lam for n in range(9) for lam in enumerate_partitions(n)]
+    # one row per representative, and none for the other diagram of a pair
+    expected = [lam for n in range(9) for lam in enumerate_partitions(n)
+                if _is_representative(lam)]
     for G in KERNEL_GENS:
         A, B = _integer_ladder(G, 8, 8)
         for i in range(9):
@@ -436,7 +463,56 @@ def test_content_product_ladder_matches_r_lambda():
                     == list(r_lambda(G, lam, 8).coeffs)), (G.describe(), lam)
 
 
-def test_tables_build_no_series_products(monkeypatch):
+@pytest.fixture
+def table_ladder_cold():
+    """No table record is kept from before a test, or from one it patched."""
+    tau_series._table_ladder.cache_clear()
+    yield
+    tau_series._table_ladder.cache_clear()
+
+
+def test_both_tables_share_one_ladder(monkeypatch, table_ladder_cold):
+    calls = []
+    build = tau_series._integer_ladder
+
+    def counted(G, D, Nmax):
+        calls.append((G, D, Nmax))
+        return build(G, D, Nmax)
+
+    monkeypatch.setattr(tau_series, "_integer_ladder", counted)
+    tau_double_table(GR, 4, 5)
+    tau_single_table(GR, 4, 5)
+    assert calls == [(GR, 4, 5)]
+    # a different G, D or Nmax builds its own ladder, in either call order
+    for key in ((G1, 4, 5), (GR, 3, 5), (GR, 4, 6)):
+        tau_single_table(*key)
+        tau_double_table(*key)
+        assert calls[-1] == key
+    # an equal G is the same key
+    tau_double_table(WeightGen.rational([1], [F(1, 3)]), 4, 6)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("G", LAYOUT_GENS, ids=lambda G: G.describe())
+def test_tables_from_the_shared_record_equal_cold_builds(G, table_ladder_cold):
+    def cold(build):
+        tau_series._table_ladder.cache_clear()
+        return build(G, 5, 6)
+
+    double, single = cold(tau_double_table).coeffs, cold(tau_single_table)
+    # in each order the first table builds the record and the second reads it
+    coeffs = cold(tau_double_table).coeffs
+    orders = [(coeffs, tau_single_table(G, 5, 6))]
+    s = cold(tau_single_table)
+    orders.append((tau_double_table(G, 5, 6).coeffs, s))
+    for coeffs, s in orders:
+        assert coeffs == double
+        for (mu, nu, e), v in coeffs.items():
+            assert coeffs[(nu, mu, e)] is v
+        assert list(s.items()) == list(single.items())
+
+
+def test_tables_build_no_series_products(monkeypatch, table_ladder_cold):
     # the ladder and g_coeffs run without series products
     def refuse(self, other):
         raise AssertionError("BetaSeries product in a table build")
@@ -446,7 +522,7 @@ def test_tables_build_no_series_products(monkeypatch):
     tau_single_table(GR, 4, 6)
 
 
-def test_verify_tau_negative_control(monkeypatch, capsys):
+def test_verify_tau_negative_control(monkeypatch, capsys, table_ladder_cold):
     argv = ["verify", "--suite", "tau", "--gen", "rational", "--c", "1",
             "--d", "1/3", "--nmax", "3", "--order", "3"]
     name = "series coefficients = direct weighted counts"
@@ -460,6 +536,8 @@ def test_verify_tau_negative_control(monkeypatch, capsys):
         return tuple(gs)
 
     monkeypatch.setattr(tau_series, "g_coeffs", shifted)
+    # the run above left its record, built on the real g_coeffs
+    tau_series._table_ladder.cache_clear()
     assert run(argv) == 1
     assert f"FAIL {name}" in capsys.readouterr().out
 
