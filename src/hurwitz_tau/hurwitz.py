@@ -21,8 +21,7 @@ from .partitions import (
     as_partition,
     colength,
     cycle_type,
-    enumerate_partitions,
-    hook_product,
+    identity_cycle_type,
     weight,
     z_of,
 )
@@ -55,27 +54,23 @@ class ProfileTuple:
         return sum(colength(p) for p in self.profiles)
 
 
-@cache
-def _hook_products(n: int) -> tuple[int, ...]:
-    """h(lam) for every partition lam of n, in enumeration order."""
-    return tuple(map(hook_product, enumerate_partitions(n)))
-
-
 def hurwitz_number(pt: ProfileTuple) -> Fraction:
     """Character-sum evaluation: sum_lam h(lam)^(k-2) prod_j chi/z.
 
     Counts all factorizations of the identity, i.e. possibly disconnected
     covers, exactly what the generating series produce.  The characters are
-    integers, so the sum runs over ints with the z's cleared; for k = 1 the
-    hook product h(lam) divides N!, which clears 1/h(lam).
+    integers, so the sum runs over ints with the z's cleared.  The hook
+    product is h(lam) = N!/dim(lam), with dim(lam) = chi_lam(1^N) read from
+    the cached character column; for k = 1, 1/h(lam) = dim(lam)/N!.
     """
     k = len(pt.profiles)
     if k < 1:
         raise UsageError("need at least one ramification profile", code="empty-profiles")
-    scale = 1 if k >= 2 else factorial(pt.N)
+    nfact = factorial(pt.N)
+    scale = 1 if k >= 2 else nfact
     total = 0
-    for h, *chis in zip(_hook_products(pt.N), *map(_character, pt.profiles)):
-        total += prod(chis, start=h ** (k - 2) if k >= 2 else scale // h)
+    for dim, *chis in zip(_character(identity_cycle_type(pt.N)), *map(_character, pt.profiles)):
+        total += prod(chis, start=(nfact // dim) ** (k - 2) if k >= 2 else dim)
     return Fraction(total, scale * prod(z_of(p) for p in pt.profiles))
 
 

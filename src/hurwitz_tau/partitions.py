@@ -119,12 +119,12 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return list(_partitions(n))
 
 
-def partitions_up_to(max_weight: int, max_parts: int | None = None):
-    """Partitions of weight <= max_weight (and <= max_parts parts), by weight;
+def partitions_up_to(max_weight: int, max_parts: int):
+    """Partitions of weight <= max_weight with <= max_parts parts, by weight;
     each comes after itself less the last cell of its last row."""
     for w in range(max_weight + 1):
         for lam in _partitions(w):
-            if max_parts is None or len(lam) <= max_parts:
+            if len(lam) <= max_parts:
                 yield lam
 
 

@@ -22,8 +22,9 @@ twice, a self-conjugate diagram's once.  The ladder walks the
 representatives only, each row extending its parent's, and each
 representative's row is packed as two halves, its even and its odd
 degrees; each sum is taken on the half of its parity only.  Ladder and
-halves are one record per (G, D, Nmax) (:func:`_table_ladder`), the last
-one kept, that the double and the single table both read.
+halves are one record per (g_0..g_D, Nmax) (:func:`_table_ladder`), the
+last one kept, that the double and the single table both read: the
+tables see G only through its Taylor coefficients :func:`g_coeffs`.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ def _representatives(n: int) -> tuple[int, ...]:
     return tuple(i for i, k in enumerate(_conjugates(n)) if k >= i)
 
 
-def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
+def _integer_ladder(gs: tuple[Fraction, ...], Nmax: int) -> tuple[dict, list[int]]:
     """Content products of the representatives (:func:`_representatives`)
-    of weight <= Nmax as ints over one denominator per beta-degree:
-    r_lambda(G, lambda, D).coeffs[d] equals A[lambda][d] / B[d].
+    of weight <= Nmax as ints over one denominator per beta-degree: with
+    gs = g_coeffs(G, D), r_lambda(G, lambda, D).coeffs[d] equals A[lambda][d] / B[d].
 
     With b_m the denominator of g_m, B_0 = 1 and B_d = lcm_m b_m B_{d-m},
     the lcm over partitions of d of the products of their b_m.  So B_i B_m
@@ -111,7 +112,7 @@ def _integer_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[dict, list[int]]:
     factor B_{i+m} / (B_i B_m).  Each row extends its parent's, which is a
     representative too, so the walk never builds a conjugate's row.
     """
-    gs = g_coeffs(G, D)
+    D = len(gs) - 1
     B = [1]
     for d in range(1, D + 1):
         B.append(lcm(*(gs[m].denominator * B[d - m] for m in range(1, d + 1))))
@@ -170,9 +171,9 @@ def _packed_ladder(ladder: list[list[int]], n: int) -> tuple[list[int], int]:
 
 
 @lru_cache(maxsize=1)
-def _table_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[tuple[int, ...], tuple]:
-    """The one record that both tables read at (G, D, Nmax): B from
-    :func:`_integer_ladder` and, for each weight n <= Nmax, (reps, halves).
+def _table_ladder(gs: tuple[Fraction, ...], Nmax: int) -> tuple[tuple[int, ...], tuple]:
+    """The one record that both tables read at gs = (g_0..g_D) and Nmax: B
+    from :func:`_integer_ladder` and, for each weight n <= Nmax, (reps, halves).
 
     reps are :func:`_representatives` of n.  Half p is (packed, S): each
     representative's degrees p, p + 2, ... packed by :func:`_packed_ladder`,
@@ -180,11 +181,11 @@ def _table_ladder(G: WeightGen, D: int, Nmax: int) -> tuple[tuple[int, ...], tup
     width.  By the conjugation rules in the module docstring, a sum of
     parity p over half p is the sum over every diagram of weight n.  Each
     table pairs the halves with its own (e, L) degrees.  The record is
-    made of tuples, since both tables share it.  Only the last (G, D, Nmax)
+    made of tuples, since both tables share it.  Only the last (gs, Nmax)
     is kept: the callers that build both tables build them one after the
-    other.  Code that patches :func:`g_coeffs` clears this cache.
+    other.
     """
-    A, B = _integer_ladder(G, D, Nmax)
+    A, B = _integer_ladder(gs, Nmax)
     levels = []
     for n in range(Nmax + 1):
         conj, shapes, reps = _conjugates(n), _partitions(n), _representatives(n)
@@ -330,7 +331,6 @@ class TauTable:
     the table is read by key, and its key order carries nothing.
     """
 
-    gen: WeightGen
     order: int
     nmax: int
     coeffs: dict
@@ -351,7 +351,7 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    B, levels = _table_ladder(G, D, Nmax)
+    B, levels = _table_ladder(g_coeffs(G, D), Nmax)
     coeffs: dict = {}
     for n, (reps, level) in enumerate(levels):
         rows = character_table(n)
@@ -366,7 +366,7 @@ def tau_double_table(G: WeightGen, D: int, Nmax: int) -> TauTable:
                 _, S, degs = halves[p]
                 for e, v in _entries(sum(map(mul, weighted[p], chi)), S, degs, zm * zn):
                     coeffs[(mu, nu, e)] = coeffs[(nu, mu, e)] = v
-    return TauTable(G, D, Nmax, coeffs)
+    return TauTable(D, Nmax, coeffs)
 
 
 def extract_H(table: TauTable, d: int, mu, nu) -> Fraction:
@@ -404,7 +404,7 @@ def tau_single_table(G: WeightGen, D: int, Nmax: int) -> dict[tuple[Partition, i
     """
     if D < 0 or Nmax < 0:
         raise UsageError("orders must be >= 0", code="bad-order")
-    B, levels = _table_ladder(G, D, Nmax)
+    B, levels = _table_ladder(g_coeffs(G, D), Nmax)
     degs = list(enumerate(B))
     out: dict[tuple[Partition, int], Fraction] = {}
     for n, (reps, halves) in enumerate(levels):

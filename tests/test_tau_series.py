@@ -453,7 +453,7 @@ def test_content_product_ladder_matches_r_lambda():
     expected = [lam for n in range(9) for lam in enumerate_partitions(n)
                 if _is_representative(lam)]
     for G in KERNEL_GENS:
-        A, B = _integer_ladder(G, 8, 8)
+        A, B = _integer_ladder(g_coeffs(G, 8), 8)
         for i in range(9):
             for j in range(9 - i):
                 assert B[i + j] % (B[i] * B[j]) == 0, (G.describe(), i, j)
@@ -465,32 +465,55 @@ def test_content_product_ladder_matches_r_lambda():
 
 @pytest.fixture
 def table_ladder_cold():
-    """No table record is kept from before a test, or from one it patched."""
+    """The test starts with no table record, and leaves none behind."""
     tau_series._table_ladder.cache_clear()
     yield
     tau_series._table_ladder.cache_clear()
 
 
-def test_both_tables_share_one_ladder(monkeypatch, table_ladder_cold):
+@pytest.fixture
+def ladder_builds(monkeypatch, table_ladder_cold):
+    """The (gs, Nmax) of every ladder the test builds, in order."""
     calls = []
     build = tau_series._integer_ladder
 
-    def counted(G, D, Nmax):
-        calls.append((G, D, Nmax))
-        return build(G, D, Nmax)
+    def counted(gs, Nmax):
+        calls.append((gs, Nmax))
+        return build(gs, Nmax)
 
     monkeypatch.setattr(tau_series, "_integer_ladder", counted)
+    return calls
+
+
+def test_both_tables_share_one_ladder(ladder_builds):
     tau_double_table(GR, 4, 5)
     tau_single_table(GR, 4, 5)
-    assert calls == [(GR, 4, 5)]
+    assert ladder_builds == [(g_coeffs(GR, 4), 5)]
     # a different G, D or Nmax builds its own ladder, in either call order
-    for key in ((G1, 4, 5), (GR, 3, 5), (GR, 4, 6)):
-        tau_single_table(*key)
-        tau_double_table(*key)
-        assert calls[-1] == key
+    for G, D, Nmax in ((G1, 4, 5), (GR, 3, 5), (GR, 4, 6)):
+        tau_single_table(G, D, Nmax)
+        tau_double_table(G, D, Nmax)
+        assert ladder_builds[-1] == (g_coeffs(G, D), Nmax)
     # an equal G is the same key
     tau_double_table(WeightGen.rational([1], [F(1, 3)]), 4, 6)
-    assert len(calls) == 4
+    assert len(ladder_builds) == 4
+
+
+@pytest.mark.parametrize("first, second", [
+    (WeightGen.quantum(F(-1, 2), 40), WeightGen.quantum(F(-1, 2))),
+    (WeightGen.finite_product([1, F(-2, 3)]), WeightGen.rational([1, F(-2, 3)], ())),
+], ids=lambda G: G.describe())
+def test_equal_taylor_coefficients_share_one_ladder(ladder_builds, first, second):
+    # the tables read G only through g_0..g_D, so two descriptors of one
+    # series share a record, and each table equals its own cold build
+    assert first != second and g_coeffs(first, 5) == g_coeffs(second, 5)
+    double = tau_double_table(first, 5, 6).coeffs
+    single = tau_single_table(second, 5, 6)
+    assert len(ladder_builds) == 1
+    tau_series._table_ladder.cache_clear()
+    assert tau_double_table(second, 5, 6).coeffs == double
+    tau_series._table_ladder.cache_clear()
+    assert list(tau_single_table(first, 5, 6).items()) == list(single.items())
 
 
 @pytest.mark.parametrize("G", LAYOUT_GENS, ids=lambda G: G.describe())
@@ -522,7 +545,7 @@ def test_tables_build_no_series_products(monkeypatch, table_ladder_cold):
     tau_single_table(GR, 4, 6)
 
 
-def test_verify_tau_negative_control(monkeypatch, capsys, table_ladder_cold):
+def test_verify_tau_negative_control(monkeypatch, capsys):
     argv = ["verify", "--suite", "tau", "--gen", "rational", "--c", "1",
             "--d", "1/3", "--nmax", "3", "--order", "3"]
     name = "series coefficients = direct weighted counts"
@@ -535,9 +558,8 @@ def test_verify_tau_negative_control(monkeypatch, capsys, table_ladder_cold):
         gs[1] += F(1, 2 ** 50)
         return tuple(gs)
 
+    # the run above left its record, keyed on the real coefficients
     monkeypatch.setattr(tau_series, "g_coeffs", shifted)
-    # the run above left its record, built on the real g_coeffs
-    tau_series._table_ladder.cache_clear()
     assert run(argv) == 1
     assert f"FAIL {name}" in capsys.readouterr().out
 
