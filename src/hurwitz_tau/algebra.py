@@ -14,28 +14,19 @@ from fractions import Fraction
 from .errors import SingularSeriesError, UsageError
 
 
-def _digits(n: int) -> str:
-    """Decimal digits of ``n``, past the interpreter's int-to-str limit too.
-
-    Exact results may be longer than that limit allows; it is lifted only
-    while one is rendered, so parsing input keeps it.
-    """
+def format_rational(x: Fraction) -> str:
+    """Render ``x`` as ``"p/q"``, or just ``"p"`` when the denominator is 1,
+    past the interpreter's int-to-str limit too: that limit is lifted only
+    while one is rendered, so parsing input keeps it."""
     try:
-        return str(n)
+        return str(x)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return str(n)
+            return str(x)
         finally:
             sys.set_int_max_str_digits(limit)
-
-
-def format_rational(x: Fraction) -> str:
-    """Render ``x`` as ``"p/q"``, or just ``"p"`` when the denominator is 1."""
-    if x.denominator == 1:
-        return _digits(x.numerator)
-    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -64,7 +64,9 @@ def _character(mu: Partition) -> tuple[int, ...]:
 
 
 def character(lam, mu) -> int:
-    """Character of the irreducible representation ``lam`` on class ``mu``."""
+    """Character of the irreducible representation ``lam`` on class ``mu``;
+    one value builds and caches the whole column of mu and of each suffix
+    mu[i:], p(|mu[i:]|) ints each: 28629 ints for mu = (1^30)."""
     lam = as_partition(lam)
     mu = as_partition(mu)
     if weight(lam) != weight(mu):
@@ -75,11 +77,12 @@ def character(lam, mu) -> int:
     return _character(mu)[enumerate_partitions(weight(mu)).index(lam)]
 
 
-def character_table(n: int) -> list[tuple[Partition, list[int], int]]:
+def character_table(n: int) -> list[tuple[Partition, tuple[int, ...], int]]:
     """Character table of S_n, read as the transition s_lam = sum_mu
-    chi_lam(mu)/z_mu p_mu in ints: (mu, [chi_lam(mu) for each lam], z_mu)
-    per mu, both in enumeration order."""
-    return [(mu, list(_character(mu)), z)
+    chi_lam(mu)/z_mu p_mu in ints: (mu, chi, z_mu) per mu, in enumeration
+    order, where chi is the cached column tuple (chi_lam(mu) for each lam, in
+    enumeration order) itself, not a copy."""
+    return [(mu, _character(mu), z)
             for mu, z in zip(enumerate_partitions(n), _centralizers(n))]
 
 

@@ -111,15 +111,14 @@ def weight_gen_from_args(args) -> WeightGen:
     return WeightGen.quantum(parse_rational(args.q), getattr(args, "m", None))
 
 
-def emit_table(rows: list[dict], fmt: str, columns: list[str]) -> str:
-    """Render rows in canonical order as CSV or JSON, byte-stable."""
+def emit_table(columns: list[str], rows: list[tuple], fmt: str) -> str:
+    """Render rows of values, in column order, as CSV or JSON, byte-stable."""
     if fmt == "json":
-        return json.dumps(rows)
+        return json.dumps([dict(zip(columns, row)) for row in rows])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -180,28 +179,19 @@ def _cmd_tau_coeffs(args) -> int:
     table = tau_double_table(G, args.order, args.nmax)
     rows = []
     for n in range(args.nmax + 1):
-        parts = enumerate_partitions(n)
-        for mu in parts:
-            for nu in parts:
-                for d in range(args.order + 1):
-                    rows.append(
-                        {
-                            "mu": format_partition(mu),
-                            "nu": format_partition(nu),
-                            "d": d,
-                            "H": format_rational(extract_H(table, d, mu, nu)),
-                        }
-                    )
-    print(emit_table(rows, args.format, ["mu", "nu", "d", "H"]))
+        labels = {mu: format_partition(mu) for mu in enumerate_partitions(n)}
+        rows += [(labels[mu], labels[nu], d, format_rational(table.entry(mu, nu, n + d)))
+                 for mu in labels for nu in labels for d in range(args.order + 1)]
+    print(emit_table(["mu", "nu", "d", "H"], rows, args.format))
     return 0
 
 
 def _cmd_chartable(args) -> int:
-    rows = character_table(args.n)
-    columns = ["lambda"] + [format_partition(mu) for mu, _, _ in rows]
-    table = [dict(zip(columns, [format_partition(lam)] + [chi[i] for _, chi, _ in rows]))
-             for i, (lam, _, _) in enumerate(rows)]
-    print(emit_table(table, "csv", columns))
+    columns = character_table(args.n)
+    labels = [format_partition(mu) for mu, _, _ in columns]
+    # column mu lists chi_lam(mu) per lam; lam and mu share one enumeration
+    rows = [(lam, *chi) for lam, chi in zip(labels, zip(*(chi for _, chi, _ in columns)))]
+    print(emit_table(["lambda", *labels], rows, "csv"))
     return 0
 
 

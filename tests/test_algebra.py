@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -80,6 +81,28 @@ def test_truncation_consistency():
         full = (a * b).truncate(Dp)
         short = a.truncate(Dp) * b.truncate(Dp)
         assert full == short
+
+
+@pytest.mark.parametrize("numerator", [
+    lambda long: -long,  # negative, and as long as the denominator
+    lambda long: 3,  # only the denominator is long
+], ids=["both-long", "denominator-long"])
+def test_format_rational_past_the_int_to_str_limit(numerator):
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    long = 10 ** limit + 7  # limit + 1 digits, odd and prime to 3
+    x = F(numerator(long), long + 2)
+    assert x.denominator == long + 2
+    with pytest.raises(ValueError):
+        str(x)
+    got = format_rational(x)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 def test_rational_strings():

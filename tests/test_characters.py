@@ -50,7 +50,8 @@ def test_orthogonality(n):
             assert acc == (1 if lam == lam2 else 0)
     for mu, chi_mu, z in rows:
         # each row lists chi_lam(mu) with lam in enumeration order
-        assert chi_mu == [character(lam, mu) for lam in parts]
+        assert chi_mu == tuple(character(lam, mu) for lam in parts)
+        assert chi_mu is characters._character(mu)  # the cached column, not a copy
         for nu, chi_nu, _ in rows:
             acc = sum(a * b for a, b in zip(chi_mu, chi_nu))
             assert acc == (z if mu == nu else 0)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 import time
@@ -242,10 +244,32 @@ def test_byte_identical_output(capsys):
 
 
 def test_emit_table_edge_cases():
-    assert emit_table([], "csv", ["mu", "H"]) == "mu,H"  # header only
-    one = emit_table([{"mu": "[2,1]", "H": "1/2"}], "csv", ["mu", "H"])
+    assert emit_table(["mu", "H"], [], "csv") == "mu,H"  # header only
+    one = emit_table(["mu", "H"], [("[2,1]", "1/2")], "csv")
     assert one == 'mu,H\n"[2,1]",1/2'
-    assert json.loads(emit_table([], "json", ["mu", "H"])) == []
+    assert json.loads(emit_table(["mu", "H"], [], "json")) == []
+    # keys come out in column order, not sorted
+    one = emit_table(["nu", "d", "H"], [("[1]", 0, "1")], "json")
+    assert one == '[{"nu": "[1]", "d": 0, "H": "1"}]'
+
+
+@pytest.mark.parametrize("gen", [
+    ["--gen", "trivial"],
+    ["--gen", "quantum", "--q=-7/10"],
+    ["--gen", "rational", "--c=2/3,-5/7", "--d=1/3,3/11"],
+], ids=["trivial", "quantum", "rational"])
+@pytest.mark.parametrize("order, nmax", [(0, 0), (2, 3), (3, 5)])
+def test_tau_coeffs_csv_and_json_carry_the_same_rows(capsys, gen, order, nmax):
+    argv = ["tau-coeffs", *gen, "--order", str(order), "--nmax", str(nmax)]
+    assert run([*argv, "--out", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capture(capsys)[0]))
+    assert run([*argv, "--out", "json"]) == 0
+    objects = json.loads(capture(capsys)[0])
+    assert header == ["mu", "nu", "d", "H"]
+    assert [list(obj) for obj in objects] == [header] * len(objects)
+    # every (mu, nu, d) with |mu| = |nu| <= nmax, d <= order, once
+    assert len(rows) == (order + 1) * sum(p * p for p in (1, 1, 2, 3, 5, 7)[:nmax + 1])
+    assert rows == [[str(v) for v in obj.values()] for obj in objects]
 
 
 def test_phi_quantum_needs_truncation(capsys):
