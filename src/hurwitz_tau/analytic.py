@@ -115,9 +115,6 @@ def euler_apply(p: PhiSeries) -> PhiSeries:
 class IdentityReport:
     """Outcome of a termwise identity check on one basis series."""
 
-    identity: str
-    k: int
-    beta: Fraction
     requested_order: int
     checked_order: int
     cap_reason: str | None
@@ -133,12 +130,11 @@ class IdentityReport:
         return self.max_abs_residual == 0
 
 
-def _identity_report(identity: str, k: int, beta: Fraction, J: int, checked: int,
-                     reason: str | None, residuals: list[Fraction],
+def _identity_report(J: int, checked: int, reason: str | None, residuals: list[Fraction],
                      ode_checked: bool = False) -> IdentityReport:
     # the reason is reported only for a window that actually stops short of J
     return IdentityReport(
-        identity, k, beta, J, checked, reason if checked < J else None,
+        J, checked, reason if checked < J else None,
         max((abs(r) for r in residuals if r), default=Fraction(0)), ode_checked,
     )
 
@@ -199,8 +195,8 @@ def check_recursion(G: WeightGen, beta, k: int, J: int,
     jkm1, reason_km1 = max_regular_order(G, beta, k - 1, J)
     cur = phi_k(G, beta, k, jk)
     prev = phi_k(G, beta, k - 1, jkm1)
-    return _identity_report("recursion", k, beta, J, min(jk, jkm1 + 1),
-                            reason_k or reason_km1, recursion_residuals(prev, cur))
+    return _identity_report(J, min(jk, jkm1 + 1), reason_k or reason_km1,
+                            recursion_residuals(prev, cur))
 
 
 def spectral_residuals(p: PhiSeries, G: WeightGen) -> list[Fraction]:
@@ -295,7 +291,7 @@ def check_spectral(G: WeightGen, beta, k: int, J: int,
     ode_checked = G.q is None and all(cl != 0 for cl in G.c)
     if ode_checked:
         residuals += ode_residuals(p, G)
-    return _identity_report("spectral", k, beta, J, jk, reason, residuals, ode_checked)
+    return _identity_report(J, jk, reason, residuals, ode_checked)
 
 
 # -- determinant representations -------------------------------------------

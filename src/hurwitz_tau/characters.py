@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from operator import mul
 
 from .errors import ScaleGuardError, UsageError
 from .partitions import (
@@ -84,12 +83,6 @@ def character_table(n: int) -> list[tuple[Partition, tuple[int, ...], int]]:
     enumeration order) itself, not a copy."""
     return [(mu, _character(mu), z)
             for mu, z in zip(enumerate_partitions(n), _centralizers(n))]
-
-
-def powersum_numerators(ints: list[int], rows) -> list[int]:
-    """sum_lam ints[lam] chi_lam(mu) per row of :func:`character_table`: with
-    Schur coefficients ints / L, the p_mu coefficient is this over L z_mu."""
-    return [sum(map(mul, ints, row)) for _, row, _ in rows]
 
 
 def schur_in_powersums(lam) -> dict[Partition, Fraction]:

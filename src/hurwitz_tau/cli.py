@@ -32,7 +32,7 @@ from .partitions import (
     weight,
     z_of,
 )
-from .tau_series import extract_H, tau_double_table, tau_single_table
+from .tau_series import tau_double_table, tau_single_table
 from .weights import (
     WeightGen,
     profile_multisets,
@@ -92,8 +92,6 @@ _GEN_FLAGS = {"trivial": (), "finite": ("c",), "rational": ("c", "d"),
 
 def weight_gen_from_args(args) -> WeightGen:
     kind = args.gen
-    if kind not in _GEN_FLAGS:
-        raise UsageError(f"unknown generating function kind {kind!r}", code="bad-gen")
     for flag in ("c", "d", "q", "m"):
         if getattr(args, flag, None) not in (None, "") and flag not in _GEN_FLAGS[kind]:
             raise UsageError(f"--{flag} is not a parameter of --gen {kind}",
@@ -210,29 +208,25 @@ def _cmd_phi(args) -> int:
 
 
 # -- verification suites ----------------------------------------------------
+# Each suite yields its report lines: PASS or FAIL from _line, and SKIP for a
+# check that cannot run at these parameters, which is reported, not failed.
 
-class _Suite:
-    def __init__(self):
-        self.failures = 0
-        # printed once every selected suite has run, so a usage or parameter
-        # error met by a later suite leaves no partial report on stdout
-        self.lines: list[str] = []
-
-    def check(self, name: str, ok: bool, detail: str = ""):
-        tag = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failures += 1
-        suffix = f": {detail}" if detail else ""
-        self.lines.append(f"{tag} {name}{suffix}")
-
-    def skip(self, name: str, reason: str):
-        # a check that cannot run at these parameters is reported, not failed
-        self.lines.append(f"SKIP {name}: {reason}")
+def _line(name: str, ok: bool, detail: str = "") -> str:
+    suffix = f": {detail}" if detail else ""
+    return f"{'PASS' if ok else 'FAIL'} {name}{suffix}"
 
 
-def _suite_hurwitz(s: _Suite, nmax: int):
+def _singular_line(name: str, exc: SingularParameterError, note: str = "") -> str:
+    """The line of a check that met a singular point: a calibration that
+    failed is a FAIL, with the note; any other singular point is a SKIP."""
+    if exc.code == "calibration-failed":
+        return _line(name, False, f"{exc}{note}")
+    return f"SKIP {name}: unconstructible here ({exc})"
+
+
+def _suite_hurwitz(nmax: int):
     if nmax < 2:
-        s.skip("character sum = factorization oracle",
+        yield ("SKIP character sum = factorization oracle: "
                f"no sheet count N in the empty range 2..{nmax}")
     for N in range(2, nmax + 1):
         parts = enumerate_partitions(N)
@@ -244,11 +238,8 @@ def _suite_hurwitz(s: _Suite, nmax: int):
                 cases += 1
                 if hurwitz_number(pt) != hurwitz_oracle(pt):
                     bad += 1
-        s.check(
-            f"character sum = factorization oracle, N={N}",
-            bad == 0,
-            f"{cases} profile tuples",
-        )
+        yield _line(f"character sum = factorization oracle, N={N}", bad == 0,
+                    f"{cases} profile tuples")
 
 
 def _quantum_prefix_sums(q: Fraction, profiles) -> Fraction:
@@ -274,7 +265,7 @@ def _quantum_prefix_sums(q: Fraction, profiles) -> Fraction:
 _QUANTUM_CUT_MAX = 1024
 
 
-def _suite_weights(s: _Suite, G: WeightGen):
+def _suite_weights(G: WeightGen):
     if G.q is not None:
         # Cut at c_i = q^i, i < T, the dual factor of k <= 4 profiles loses its
         # non-decreasing index chains that reach T: at most |q|^T / (1 - |q|)^k.
@@ -302,71 +293,59 @@ def _suite_weights(s: _Suite, G: WeightGen):
                     cases += 1
                     if closed != _quantum_prefix_sums(G.q, profiles):
                         bad += 1
-        s.check(
-            "quantum closed form vs truncated dual weight factor",
-            worst < Fraction(1, 2 ** 40),
-            f"worst gap {float(worst):.3e} < 2^-40",
-        )
-        s.check(
-            "quantum closed form = prefix sums over all orderings",
-            bad == 0,
-            f"{cases} profile multisets, N <= 4, d <= 4",
-        )
+        yield _line("quantum closed form vs truncated dual weight factor",
+                    worst < Fraction(1, 2 ** 40), f"worst gap {float(worst):.3e} < 2^-40")
+        yield _line("quantum closed form = prefix sums over all orderings", bad == 0,
+                    f"{cases} profile multisets, N <= 4, d <= 4")
     else:
-        s.skip("quantum tail comparison", "generating function is not quantum")
+        yield "SKIP quantum tail comparison: generating function is not quantum"
 
 
-def _suite_tau(s: _Suite, G: WeightGen, nmax: int, order: int):
+def _suite_tau(G: WeightGen, nmax: int, order: int):
+    # every key read below is in range: |mu| = |nu| = n <= nmax, d <= order
     table = tau_double_table(G, order, nmax)
     bad = cases = bad_d0 = 0
     for n in range(nmax + 1):
-        for mu in enumerate_partitions(n):
-            for nu in enumerate_partitions(n):
-                if extract_H(table, 0, mu, nu) != Fraction(mu == nu, z_of(mu)):
+        parts = enumerate_partitions(n)
+        for mu in parts:
+            for nu in parts:
+                if table.entry(mu, nu, n) != Fraction(mu == nu, z_of(mu)):
                     bad_d0 += 1
                 for d in range(order + 1):
                     cases += 1
-                    if extract_H(table, d, mu, nu) != weighted_hurwitz(G, d, mu, nu):
+                    if table.entry(mu, nu, n + d) != weighted_hurwitz(G, d, mu, nu):
                         bad += 1
-    s.check(
-        "series coefficients = direct weighted counts",
-        bad == 0,
-        f"{cases} (mu, nu, d) cases, |mu| <= {nmax}, d <= {order}",
-    )
+    yield _line("series coefficients = direct weighted counts", bad == 0,
+                f"{cases} (mu, nu, d) cases, |mu| <= {nmax}, d <= {order}")
     single = tau_single_table(G, order, nmax)
-    bad = sum(
-        1
-        for (mu, d), v in single.items()
-        if v != extract_H(table, d, mu, identity_cycle_type(weight(mu)))
-    )
-    s.check("single series = double series at identity profile", bad == 0)
-    s.check("d=0 coefficients are delta_(mu,nu)/z_mu", bad_d0 == 0)
-    bad = sum(
-        1
-        for (mu, nu, e), v in table.coeffs.items()
-        if table.entry(nu, mu, e) != v
-    )
-    s.check("table is symmetric in (mu, nu)", bad == 0)
+    bad = 0
+    for (mu, d), v in single.items():
+        n = weight(mu)
+        bad += v != table.entry(mu, identity_cycle_type(n), n + d)
+    yield _line("single series = double series at identity profile", bad == 0)
+    yield _line("d=0 coefficients are delta_(mu,nu)/z_mu", bad_d0 == 0)
+    bad = sum(1 for (mu, nu, e), v in table.coeffs.items() if table.entry(nu, mu, e) != v)
+    yield _line("table is symmetric in (mu, nu)", bad == 0)
 
 
-def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int, order: int):
+def _suite_analytic(G: WeightGen, beta: Fraction, kmax: int, order: int):
     for identity, check, kmin in (("recursion", analytic.check_recursion, 2),
                                   ("spectral", analytic.check_spectral, 1)):
         if kmax < kmin:
-            s.skip(f"{identity} identity", f"no k in the empty range {kmin}..{kmax}")
+            yield f"SKIP {identity} identity: no k in the empty range {kmin}..{kmax}"
         for k in range(kmin, kmax + 1):
             name = f"{identity} identity k={k}"
             try:
                 rep = check(G, beta, k, order)
             except SingularParameterError as exc:
-                s.skip(name, f"unconstructible here ({exc})")
+                yield _singular_line(name, exc)
                 continue
             note = f"orders 0..{rep.checked_order}"
             if rep.ode_checked:
                 note += ", cleared ODE form included"
             if rep.capped:
                 note += f" (window capped: {rep.cap_reason})"
-            s.check(name, rep.ok, note)
+            yield _line(name, rep.ok, note)
     xs = [Fraction(1, 100), Fraction(1, 200), Fraction(1, 300)]
     J = max(order // 2, 8)
     # a PASS on the truncated quantum product G_M is no PASS on G itself
@@ -374,7 +353,7 @@ def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int, order: i
     for n in (1, 2, 3):
         name = f"determinant representation n={n}"
         if abs(beta) == 1:  # every power of beta is +-1, so calibration is refused
-            s.skip(name, "calibration cannot separate beta powers at |beta| = 1")
+            yield f"SKIP {name}: calibration cannot separate beta powers at |beta| = 1"
             continue
         try:
             # the rows, the Wronskian and the prefactor use rho_-n .. rho_(J-n);
@@ -384,33 +363,33 @@ def _suite_analytic(s: _Suite, G: WeightGen, beta: Fraction, kmax: int, order: i
             det = analytic.tau_det_rep(G, beta, xs[:n], Jn)
             wr = analytic.tau_wronskian(G, beta, xs[:n], Jn)
         except SingularParameterError as exc:
-            if exc.code == "calibration-failed":
-                s.check(name, False, f"{exc}{truncation}")
-            else:
-                s.skip(name, f"unconstructible here ({exc})")
+            yield _singular_line(name, exc, truncation)
             continue
         note = f"calibrated beta exponent {e}, Wronskian equal exactly"
         if reason:
             note += f", orders 0..{Jn} (window capped: {reason})"
-        s.check(name, e == analytic.det_rep_calibration(n) and det.value == wr.value,
-                note + truncation)
+        yield _line(name, e == analytic.det_rep_calibration(n) and det.value == wr.value,
+                    note + truncation)
 
 
 def _cmd_verify(args) -> int:
-    s = _Suite()
     G = weight_gen_from_args(args)
     beta = parse_rational(args.beta)
+    # every selected suite runs before anything prints, so a usage or
+    # parameter error met by a later suite leaves no partial report
+    lines: list[str] = []
     if args.suite in ("hurwitz", "all"):
-        _suite_hurwitz(s, args.n)
+        lines += _suite_hurwitz(args.n)
     if args.suite in ("weights", "all"):
-        _suite_weights(s, G)
+        lines += _suite_weights(G)
     if args.suite in ("tau", "all"):
-        _suite_tau(s, G, args.nmax, min(args.order, 3))
+        lines += _suite_tau(G, args.nmax, min(args.order, 3))
     if args.suite in ("analytic", "all"):
-        _suite_analytic(s, G, beta, args.kmax, args.order)
-    s.lines.append(f"FAILURES: {s.failures}" if s.failures else "ALL CHECKS PASSED")
-    print("\n".join(s.lines))
-    return 1 if s.failures else 0
+        lines += _suite_analytic(G, beta, args.kmax, args.order)
+    failures = sum(line.startswith("FAIL ") for line in lines)
+    lines.append(f"FAILURES: {failures}" if failures else "ALL CHECKS PASSED")
+    print("\n".join(lines))
+    return 1 if failures else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -508,6 +487,11 @@ def run(argv=None) -> int:
             args, rest = command.parse_known_args(argv[1:])
             if rest:
                 _parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        # before Python 3.13, argparse stores --flag=-- as [] and skips type=
+        # and choices=; no flag here takes a list
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                (command or _parser).error(f"argument --{dest}: expected one argument")
         return args.func(args)
     except HurwitzTauError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

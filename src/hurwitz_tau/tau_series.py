@@ -36,7 +36,7 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .algebra import BetaSeries
-from .characters import character_table, powersum_numerators
+from .characters import character_table
 from .errors import SingularParameterError, UsageError
 from .partitions import (
     Partition,
@@ -437,7 +437,8 @@ def tau_eval_at_matrix(G: WeightGen, beta, X, Nmax: int) -> Fraction:
         rows = character_table(n)
         # sum_mu p_mu(X) sum_lam b_lam chi_lam(mu) / (L z_mu), b / L = r / h
         b, L = _cleared([direct.get(lam, 0) for lam, _, _ in rows])
-        for (mu, _, zm), k in zip(rows, powersum_numerators(b, rows)):
+        for mu, chi, zm in rows:
+            k = sum(map(mul, b, chi))
             if k:
                 total += Fraction(k, L * zm) * prod(power[part] for part in mu)
     return total

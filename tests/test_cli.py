@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cache
@@ -11,6 +12,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz_tau import analytic, cli, weights
 from hurwitz_tau.cli import emit_table, parse_profiles, run
@@ -635,3 +638,91 @@ def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch,
     out, _ = capture(capsys)
     assert code == 1
     assert out.startswith("FAIL series coefficients = direct weighted counts")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "--n=--"],
+    ["weighted", "--deg=--", "--mu", "[2]"],
+    ["weighted", "--deg", "1", "--mu=--"],
+    ["weighted", "--gen=--", "--deg", "1", "--mu", "[2]"],
+    ["tau-coeffs", "--out=--"],
+    ["weighted", "--gen", "finite", "--c=--", "--deg", "1", "--mu", "[2]"],
+    ["verify", "--suite=--"],
+], ids=lambda argv: " ".join(argv))
+def test_double_dash_flag_value_is_a_usage_error(capsys, argv):
+    # before Python 3.13, argparse stores --flag=-- as [] and skips type= and
+    # choices=; the error code differs by version, the ending does not
+    code = run(argv)
+    out, err = capture(capsys)
+    assert (code, out) == (2, "")
+    assert set(json.loads(err)) == {"error", "message"}
+
+
+# every value any flag may draw, on top of its own good ones
+_BAD_VALUES = ["--", "", "1/0", "[0]", "[2", "²"]
+
+
+def _ints(cap):
+    return [str(i) for i in range(-1, cap + 1)]
+
+
+_GEN_VALUES = {"--gen": ["trivial", "finite", "rational", "quantum", "nosuch"],
+               "--c": ["1", "2/3,-5/7", "-1"], "--d": ["1/3", "-1/3"],
+               "--q": ["1/2", "-7/10", "99/100"]}
+_PARTITIONS = ["[1]", "[2]", "[1,1]", "[2,1]", "[3]", "[2,2]"]
+# per subcommand, each flag and its good values (None for a switch), --gen first
+_ARGV_FLAGS = {
+    "hurwitz": {"--n": _ints(4), "--profiles": ["[2],[2]", "[2,1],[3],[1,1,1]", "[1]"],
+                "--oracle": None},
+    "weighted": {**_GEN_VALUES, "--deg": _ints(3), "--mu": _PARTITIONS,
+                 "--nu": _PARTITIONS, "--trace": None},
+    "tau-coeffs": {**_GEN_VALUES, "--order": _ints(4), "--nmax": _ints(2),
+                   "--out": ["csv", "json", "xml"]},
+    "chartable": {"--n": _ints(4)},
+    "phi": {**_GEN_VALUES, "--beta": ["1/5", "1", "-1/3", "0"], "--k": _ints(3),
+            "--order": _ints(4), "--m": _ints(4)},
+    "verify": {**_GEN_VALUES, "--suite": ["hurwitz", "weights", "tau", "analytic", "all",
+                                          "nosuch"],
+               "--beta": ["1/5", "1", "-1/3", "0"], "--kmax": _ints(2), "--order": _ints(4),
+               "--nmax": _ints(2), "--n": _ints(4), "--m": _ints(4)},
+}
+# always given: the size flags, so that no default makes a run large, and
+# the flags most subcommands require
+_ALWAYS = {"--n", "--nmax", "--order", "--deg", "--kmax", "--k", "--profiles", "--mu",
+           "--beta"}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    argv = [command]
+    gen = "trivial"
+    for flag, good in _ARGV_FLAGS[command].items():
+        if flag in _ALWAYS:
+            present = True
+        elif flag in ("--c", "--d", "--q", "--m") and flag[2:] not in cli._GEN_FLAGS.get(gen, ()):
+            present = draw(st.integers(0, 9)) == 0  # a flag of another family, now and then
+        else:
+            present = draw(st.booleans())
+        if not present:
+            continue
+        if good is None:
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(_BAD_VALUES if draw(st.integers(0, 9)) == 0 else good))
+        if flag == "--gen":
+            gen = value
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_cli_argv())
+def test_every_argv_ends_in_a_result_a_fail_line_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert set(json.loads(err.getvalue())) == {"error", "message"}, argv
