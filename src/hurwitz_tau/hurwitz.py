@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 from math import factorial, prod
+from operator import mul
 
 from .characters import _character
 from .errors import ScaleGuardError, UsageError
@@ -54,24 +55,53 @@ class ProfileTuple:
         return sum(colength(p) for p in self.profiles)
 
 
+@lru_cache(maxsize=4096)
+def _head(N: int, head: tuple[Partition, ...]) -> tuple[tuple[int, ...], int]:
+    """Head vector v[lam] = h(lam)^len(head) prod_(p in head) chi_lam(p), per
+    partition lam of N in enumeration order, and z_head = prod z_p; kept for
+    the 4096 most recently used (N, head).
+
+    The hook product is h(lam) = N!/dim(lam), with dim(lam) = chi_lam(1^N)
+    read from the cached character column.
+    """
+    nfact = factorial(N)
+    cols = [_character(p) for p in head]
+    v = tuple(prod(chis, start=(nfact // dim) ** len(head))
+              for dim, *chis in zip(_character(identity_cycle_type(N)), *cols))
+    return v, prod(z_of(p) for p in head)
+
+
+def _closing(a: Partition, b: Partition) -> tuple[list[int], int]:
+    """chi_lam(a) chi_lam(b) per partition lam, and z_a z_b."""
+    return list(map(mul, _character(a), _character(b))), z_of(a) * z_of(b)
+
+
+def _close(N: int, head: tuple[Partition, ...], closing) -> Fraction:
+    """H(head, a, b) = sum_lam v[lam] chi_lam(a) chi_lam(b) / (z_head z_a z_b),
+    with ``closing = _closing(a, b)``."""
+    v, z = _head(N, head)
+    column, z_ab = closing
+    return Fraction(sum(map(mul, v, column)), z * z_ab)
+
+
 def hurwitz_number(pt: ProfileTuple) -> Fraction:
-    """Character-sum evaluation: sum_lam h(lam)^(k-2) prod_j chi/z.
+    """Character-sum evaluation, closed by the last two profiles (a, b):
+
+        H(p_1..p_k) = sum_lam v[lam] chi_lam(a) chi_lam(b) / (z_head z_a z_b),
+
+    with the head vector v[lam] = h(lam)^(k-2) prod_(p in head) chi_lam(p)
+    over head = (p_1..p_(k-2)), cached per (N, head).  k = 1 closes with the
+    identity class, since H(mu) = H(mu, 1^N).
 
     Counts all factorizations of the identity, i.e. possibly disconnected
     covers, exactly what the generating series produce.  The characters are
-    integers, so the sum runs over ints with the z's cleared.  The hook
-    product is h(lam) = N!/dim(lam), with dim(lam) = chi_lam(1^N) read from
-    the cached character column; for k = 1, 1/h(lam) = dim(lam)/N!.
+    integers, so the sum runs over ints with the z's cleared.
     """
     k = len(pt.profiles)
     if k < 1:
         raise UsageError("need at least one ramification profile", code="empty-profiles")
-    nfact = factorial(pt.N)
-    scale = 1 if k >= 2 else nfact
-    total = 0
-    for dim, *chis in zip(_character(identity_cycle_type(pt.N)), *map(_character, pt.profiles)):
-        total += prod(chis, start=(nfact // dim) ** (k - 2) if k >= 2 else dim)
-    return Fraction(total, scale * prod(z_of(p) for p in pt.profiles))
+    profiles = pt.profiles if k >= 2 else pt.profiles + (identity_cycle_type(pt.N),)
+    return _close(pt.N, profiles[:-2], _closing(*profiles[-2:]))
 
 
 def riemann_hurwitz(pt: ProfileTuple) -> tuple[int, Fraction]:
@@ -103,9 +133,13 @@ def conjugacy_classes(n: int) -> dict[Partition, frozenset[tuple[int, ...]]]:
 def hurwitz_oracle(pt: ProfileTuple) -> Fraction:
     """Count tuples (s_1, ..., s_k), s_i in class mu^(i), with product id, over N!.
 
-    The last factor is forced to be the inverse of the partial product, so
-    only the first k-1 classes are enumerated.  Refuses to run past N = 5
-    or k = 4.
+    The first factor is fixed to one sigma of its class C_1 and the count is
+    multiplied by |C_1|: conjugating by g with g sigma g^-1 = sigma' maps
+    the tuples that start with sigma one-to-one onto those that start with
+    sigma', and keeps every factor in its class.  The last factor is forced
+    to be the inverse of the partial product, so only classes 2..k-1 are
+    enumerated; k = 1 closes with the identity class, as H(mu) = H(mu, 1^N).
+    Reads no character.  Refuses to run past N = 5 or k = 4.
     """
     k = len(pt.profiles)
     if k < 1:
@@ -115,16 +149,16 @@ def hurwitz_oracle(pt: ProfileTuple) -> Fraction:
             f"factorization oracle is capped at N <= {_ORACLE_MAX_N}, "
             f"k <= {_ORACLE_MAX_K}; got N={pt.N}, k={k}"
         )
+    profiles = pt.profiles if k >= 2 else pt.profiles + (identity_cycle_type(pt.N),)
     classes = conjugacy_classes(pt.N)
-    lead = [classes.get(p, ()) for p in pt.profiles[:-1]]
-    last = classes.get(pt.profiles[-1], frozenset())
+    first, last = classes[profiles[0]], classes[profiles[-1]]
+    sigma = next(iter(first))
     count = 0
-    for choice in product(*lead):
-        # the empty choice (k = 1) is the identity
-        prod_perm = choice[0] if choice else tuple(range(pt.N))
-        for s in choice[1:]:
+    for choice in product(*(classes[p] for p in profiles[1:-1])):
+        prod_perm = sigma
+        for s in choice:
             prod_perm = compose(prod_perm, s)
         # s_k = inverse(product), and an inverse lies in the same class
         if prod_perm in last:
             count += 1
-    return Fraction(count, factorial(pt.N))
+    return Fraction(count * len(first), factorial(pt.N))

@@ -5,7 +5,15 @@ branch-point profiles.  Supported families: ratios
 prod (1 + c_l z) / prod (1 - d_m z), of which finite products (no d) and
 the trivial function G = 1 (no c, no d) are special cases, and the quantum
 exponential prod_{i>=0} (1 - q^i z)^{-1}.  Weighted Hurwitz numbers combine
-these weights with the classical character-sum counts.
+these weights with the classical character-sum counts:
+
+    H^d_G(mu, nu) = sum_P arr(P) W(P) H(P, mu, nu),
+
+over the multisets P of non-identity profiles of total colength d.  W(P)
+reads only the sorted colengths of P, so it is weighed once per
+(c, d, q, colengths) for every N and d.  H(P, mu, nu) closes the head
+vector of P, v[lam] = h(lam)^|P| prod_(p in P) chi_lam(p), with the query:
+sum_lam v[lam] chi_lam(mu) chi_lam(nu) / (z_P z_mu z_nu).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from itertools import groupby
 from math import factorial
 
 from .errors import SingularParameterError, UsageError
-from .hurwitz import ProfileTuple, hurwitz_number
+from .hurwitz import _close, _closing
 from .partitions import (
     Partition,
     as_partition,
@@ -140,8 +148,8 @@ def eval_weight_gen(G: WeightGen, x: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def _weight_sum(profiles, power_sum) -> Fraction:
-    """(1/k!) times F(colengths of the k profiles), F the injective-map sum.
+def _weight_sum(colengths, power_sum) -> Fraction:
+    """(1/k!) times F(e_1..e_k), F the injective-map sum over the k colengths.
 
     With power_sum(m) = sum_i c_i^m, F(e_1..e_k) is the sum over injective
     maps i from the profiles to the c parameters of prod_j c_(i_j)^(e_j),
@@ -150,7 +158,7 @@ def _weight_sum(profiles, power_sum) -> Fraction:
     the rest R gives F(e, R) = P(e) F(R) - sum_j F(R with e added to R_j),
     memoised on sorted colength tuples.
     """
-    exps = tuple(sorted(colength(as_partition(p)) for p in profiles))
+    exps = tuple(sorted(colengths))
     if not exps:
         raise UsageError("weight factor needs at least one profile",
                          code="empty-profiles")
@@ -179,7 +187,7 @@ def rational_weight_factor(c, d, profiles) -> Fraction:
     """
     c = tuple(Fraction(x) for x in c)
     d = tuple(Fraction(x) for x in d)
-    return _weight_sum(profiles,
+    return _weight_sum([colength(as_partition(p)) for p in profiles],
                        lambda m: sum(x ** m for x in c) - sum((-x) ** m for x in d))
 
 
@@ -222,7 +230,7 @@ def quantum_weight_factor(q, profiles) -> Fraction:
             )
         return (-1) ** (m - 1) / den
 
-    return _weight_sum(profiles, power_sum)
+    return _weight_sum([colength(as_partition(p)) for p in profiles], power_sum)
 
 
 def _arrangements(multiset: tuple[Partition, ...]) -> int:
@@ -296,48 +304,57 @@ def _checked_query(d: int, mu, nu) -> tuple[Partition, Partition, bool]:
     return mu, nu, (d + colength(mu) + colength(nu)) % 2 == 1
 
 
-@lru_cache(maxsize=256)
-def _weighed_configs(c, dual, q, N: int, d: int) -> tuple[tuple, ...]:
-    """(profiles, arrangements, W) for each multiset of ``profile_multisets(N, d)``
-    with a nonzero weight W, kept for the 256 most recently used (c, d, q, N, d).
+@lru_cache(maxsize=1024)
+def _weight(c, dual, q, colengths: tuple[int, ...]) -> Fraction:
+    """W of every profile multiset with these sorted colengths, for the
+    parameters (c, d, q) the factors read; kept for the 1024 most recently
+    used (c, d, q, colengths).
 
-    Keyed on the parameters the factors read, so G differing only in M or
-    kind share an entry.  W is taken once per sorted colength multiset.  A
-    factor swapped in after a count needs ``_weighed_configs.cache_clear()``.
+    The factors read only the colengths, so each is handed one cycle per
+    colength.  G differing only in M or kind share an entry.  A factor
+    swapped in after a count needs ``_weight.cache_clear()``.
     """
-    weighed: dict[tuple[int, ...], Fraction] = {}
-    out = []
+    profiles = tuple((e + 1,) for e in colengths)
+    return (quantum_weight_factor(q, profiles) if q is not None
+            else rational_weight_factor(c, dual, profiles))
+
+
+@lru_cache(maxsize=256)
+def _configurations(N: int, d: int) -> tuple[tuple, tuple]:
+    """``profile_multisets(N, d)`` for every G, kept for the 256 most recently
+    used (N, d): the distinct sorted colength multisets, and per multiset
+    (profiles, arrangements, index of its colengths among them)."""
+    keys: dict[tuple[int, ...], int] = {}
+    configs = []
     for profiles, arr in profile_multisets(N, d):
         key = tuple(sorted(colength(p) for p in profiles))
-        if key not in weighed:
-            weighed[key] = (quantum_weight_factor(q, profiles) if q is not None
-                            else rational_weight_factor(c, dual, profiles))
-        if weighed[key]:
-            out.append((profiles, arr, weighed[key]))
-    return tuple(out)
+        configs.append((profiles, arr, keys.setdefault(key, len(keys))))
+    return tuple(keys), tuple(configs)
 
 
 def weighted_hurwitz_terms(G: WeightGen, d: int, mu, nu) -> list[WeightedTerm]:
     """All contributing profile configurations for H^d_G(mu, nu), one per
     multiset of profiles of total colength d with a nonzero weight.
 
-    The multisets and weights come from the bounded ``_weighed_configs``
-    cache (256 (c, d, q, N, d) lists); each base count is a fresh character sum.
-    At an odd total colength each base count is 0 by parity and is not summed.
+    The multisets come from ``_configurations`` (256 (N, d)), their weights
+    from ``_weight`` (1024 (c, d, q, colengths)).  Each base count closes
+    the configuration's cached head vector with (mu, nu); at an odd total
+    colength it is 0 by parity and is not summed.
     """
     mu, nu, odd = _checked_query(d, mu, nu)
     N = weight(mu)
+    closing = None if odd else _closing(mu, nu)
 
     def count(profiles) -> Fraction:
-        if odd:
-            return Fraction(0)
-        return hurwitz_number(ProfileTuple(N, profiles + (mu, nu)))
+        return Fraction(0) if odd else _close(N, profiles, closing)
 
     if d == 0:
         return [WeightedTerm((), (), 1, Fraction(1), count(()))]
 
-    return [WeightedTerm(profiles, (), arr, w, count(profiles))
-            for profiles, arr, w in _weighed_configs(G.c, G.d, G.q, N, d)]
+    keys, configs = _configurations(N, d)
+    ws = [_weight(G.c, G.d, G.q, key) for key in keys]
+    return [WeightedTerm(profiles, (), arr, ws[i], count(profiles))
+            for profiles, arr, i in configs if ws[i]]
 
 
 def weighted_hurwitz(G: WeightGen, d: int, mu, nu) -> Fraction:

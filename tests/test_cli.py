@@ -533,9 +533,9 @@ def test_cli_output_matches_golden(capsys):
     assert changed == []
 
 
-def _weight_sum_without_block_sign(profiles, power_sum):
+def _weight_sum_without_block_sign(colengths, power_sum):
     """weights._weight_sum with (-1)^(|B|-1) dropped from every block."""
-    exps = tuple(sorted(colength(p) for p in profiles))
+    exps = tuple(sorted(colengths))
 
     @cache
     def over(rest):
@@ -613,14 +613,14 @@ def test_verify_analytic_empty_range_skips(capsys, kmax):
 
 
 @pytest.fixture
-def weighed_configs_cleared_after():
-    """No weight a test patched in outlives it in the weighed-configuration cache."""
+def weight_memo_cleared_after():
+    """No weight a test patched in outlives it in the weight memo."""
     yield
-    weights._weighed_configs.cache_clear()
+    weights._weight.cache_clear()
 
 
 def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch,
-                                                     weighed_configs_cleared_after):
+                                                     weight_memo_cleared_after):
     # the series route builds G from series products, the direct route from
     # the power sums; a wrong sign on the d power sum must show as FAIL
     argv = ["verify", "--suite", "tau", "--gen", "rational", "--c", "1", "--d=1/3"]
@@ -629,11 +629,12 @@ def test_verify_tau_rational_weight_negative_control(capsys, monkeypatch,
 
     def flipped(c, d, profiles):
         return weights._weight_sum(
-            profiles, lambda m: sum(F(x) ** m for x in c) + sum((-F(x)) ** m for x in d))
+            [colength(p) for p in profiles],
+            lambda m: sum(F(x) ** m for x in c) + sum((-F(x)) ** m for x in d))
 
     monkeypatch.setattr(weights, "rational_weight_factor", flipped)
-    # the warm run above cached its weighed configurations with the real factor
-    weights._weighed_configs.cache_clear()
+    # the warm run above cached its weights with the real factor
+    weights._weight.cache_clear()
     code = run(argv)
     out, _ = capture(capsys)
     assert code == 1

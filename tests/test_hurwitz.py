@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -58,8 +59,9 @@ def test_character_sum_equals_oracle(N):
 
 
 @pytest.mark.parametrize("profiles, calls", [
-    (((3, 2), (3, 1, 1), (2, 2, 1)), 20 * 20),  # one compose per choice of two
-    (((3, 2), (2, 2, 1)), 0),  # the one chosen permutation is the product
+    # the first factor is fixed: one compose per member of the middle class
+    (((3, 2), (3, 1, 1), (2, 2, 1)), 20),
+    (((3, 2), (2, 2, 1)), 0),  # the fixed first factor is the product
 ])
 def test_oracle_composes_only_the_chosen_permutations(monkeypatch, profiles, calls):
     import hurwitz_tau.hurwitz as hz
@@ -75,6 +77,46 @@ def test_oracle_composes_only_the_chosen_permutations(monkeypatch, profiles, cal
     pt = ProfileTuple(5, profiles)
     assert hurwitz_oracle(pt) == hurwitz_number(pt)
     assert count == calls
+
+
+def enumerated_counts(N, k):
+    """Tuples of k permutations of N points with product the identity,
+    counted by their tuple of cycle types: every tuple of S_N^k, no factor
+    fixed, nothing from the package."""
+    def cycle_lengths(p):
+        seen, sizes = set(), []
+        for i in range(N):
+            size = 0
+            while i not in seen:
+                seen.add(i)
+                i = p[i]
+                size += 1
+            if size:
+                sizes.append(size)
+        return tuple(sorted(sizes, reverse=True))
+
+    perms = list(permutations(range(N)))
+    types = {p: cycle_lengths(p) for p in perms}
+    ident = tuple(range(N))
+    counts = {}
+    for tup in product(perms, repeat=k):
+        prod_perm = ident
+        for s in tup:
+            prod_perm = tuple(prod_perm[i] for i in s)
+        if prod_perm == ident:
+            key = tuple(types[s] for s in tup)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_oracle_equals_full_enumeration(N):
+    parts = enumerate_partitions(N)
+    for k in (1, 2, 3):
+        counts = enumerated_counts(N, k)
+        for profs in product(parts, repeat=k):
+            want = F(counts.get(profs, 0), factorial(N))
+            assert hurwitz_oracle(ProfileTuple(N, profs)) == want, profs
 
 
 def test_profile_order_invariance():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hurwitz_tau import weights
 from hurwitz_tau.errors import SingularParameterError, UsageError
-from hurwitz_tau.hurwitz import ProfileTuple, hurwitz_number
+from hurwitz_tau.hurwitz import ProfileTuple, hurwitz_number, hurwitz_oracle
 from hurwitz_tau.partitions import colength, enumerate_partitions, z_of
 from hurwitz_tau.tau_series import _rho_ladder, extract_H, tau_double_table
 from hurwitz_tau.weights import (
@@ -612,8 +612,8 @@ def configuration_sum(configs, mu, nu):
 
 def test_weighed_list_warm_equals_cold():
     # a second pass after cache_clear(), in reverse order, weighs each
-    # (G, N, d) afresh from a different query; both passes must give the
-    # configuration sum, which shares no cache with them
+    # colength multiset afresh from a different query; both passes must give
+    # the configuration sum, which takes its weights from the factors directly
     queries = [(G, d, mu, nu) for G in FAMILIES for N in range(1, 7)
                for d in range(6) for mu in enumerate_partitions(N)
                for nu in enumerate_partitions(N)]
@@ -621,9 +621,9 @@ def test_weighed_list_warm_equals_cold():
     def answers(qs):
         return {q: (weighted_hurwitz(*q), weighted_hurwitz_terms(*q)) for q in qs}
 
-    weights._weighed_configs.cache_clear()
+    weights._weight.cache_clear()
     first = answers(queries)
-    weights._weighed_configs.cache_clear()
+    weights._weight.cache_clear()
     second = answers(reversed(queries))
     assert first == second
     by_hand = {}
@@ -639,10 +639,12 @@ def test_weighed_list_warm_equals_cold():
 
 
 def test_weighed_list_cache_is_bounded():
-    info = weights._weighed_configs.cache_info
-    shapes = [(WeightGen.finite_product([F(1, k)]), N, d)
-              for k in range(1, info().maxsize // 3 + 2) for N, d in ((2, 1), (3, 2), (4, 2))]
-    assert len(shapes) > info().maxsize
+    info = weights._weight.cache_info
+    # each G weighs three colength multisets: (1,) at N = 2, d = 1, and
+    # (2,) and (1, 1) at N = 3, d = 2
+    gens = [WeightGen.finite_product([F(1, k)]) for k in range(1, info().maxsize // 3 + 2)]
+    shapes = [(G, N, d) for G in gens for N, d in ((2, 1), (3, 2))]
+    assert 3 * len(gens) > info().maxsize
 
     queries = [(G, N, d, mu, nu) for G, N, d in shapes
                for mu in enumerate_partitions(N) for nu in enumerate_partitions(N)]
@@ -650,27 +652,56 @@ def test_weighed_list_cache_is_bounded():
     def answers():
         return [weighted_hurwitz(G, d, mu, nu) for G, N, d, mu, nu in queries]
 
-    weights._weighed_configs.cache_clear()
+    weights._weight.cache_clear()
     first = answers()
     assert info().currsize <= info().maxsize
-    # every shape was evicted before its second use and is weighed again
+    # every weight was evicted before its second use and is weighed again
     assert answers() == first
     assert info().currsize <= info().maxsize
-    assert info().misses == 2 * len(shapes)
+    assert info().misses == 2 * 3 * len(gens)
     assert first == [configuration_sum(weighed_by_hand(G, N, d), mu, nu)
                      for G, N, d, mu, nu in queries]
 
 
 def test_weighed_list_is_keyed_on_the_weights():
     # a quantum G with and without M, and a finite product and the ratio
-    # with no d, have the same weight factors and share one cached list
+    # with no d, have the same weight factors and share their cached weights:
+    # two records, each of the colength multisets (2,) and (1, 1) of N = 3, d = 2
     gens = [WeightGen.quantum(F(1, 2)), WeightGen.quantum(F(1, 2), M=40),
             WeightGen.finite_product([1]), WeightGen.rational([1], [])]
-    weights._weighed_configs.cache_clear()
+    weights._weight.cache_clear()
     values = [weighted_hurwitz(G, 2, (2, 1), (2, 1)) for G in gens]
-    info = weights._weighed_configs.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+    info = weights._weight.cache_info()
+    assert (info.misses, info.currsize) == (2 * 2, 2 * 2)
     assert values[0] == values[1] and values[2] == values[3]
     assert [G.describe() for G in gens] == [
         "quantum(q=1/2)", "quantum(q=1/2, M=40)",
         "finite_product(c=[1], d=[])", "rational(c=[1], d=[])"]
+
+
+ORACLE_FAMILIES = [
+    WeightGen.trivial(),
+    WeightGen.rational([F(2, 3), F(-5, 7)], [F(1, 3), F(3, 11)]),
+    WeightGen.quantum(F(1, 2)),
+]
+
+
+@pytest.mark.parametrize("G", ORACLE_FAMILIES, ids=["trivial", "rational", "quantum"])
+def test_weighted_terms_equal_the_oracle(G):
+    # each base closes a cached head vector with (mu, nu); the oracle
+    # composes permutations and reads no character.  At most two profiles,
+    # so the oracle's k = |P| + 2 stays within its cap of 4
+    checked = 0
+    for N in range(1, 5):
+        parts = enumerate_partitions(N)
+        for d in range(4):
+            for mu in parts:
+                for nu in parts:
+                    for t in weighted_hurwitz_terms(G, d, mu, nu):
+                        if len(t.mu_block) > 2:
+                            continue
+                        pt = ProfileTuple(N, t.mu_block + (mu, nu))
+                        assert t.base == hurwitz_oracle(pt), (d, mu, nu, t.mu_block)
+                        checked += 1
+    # G = 1 weighs no profile, so only the d = 0 configurations are counted
+    assert checked == (39 if G.kind == "trivial" else 258)
